@@ -38,12 +38,11 @@ def fresh_analysis(base_analysis):
     """An analysis view sharing preprocessed records but with cold
     caches, so each benchmark round recomputes its own analysis."""
 
+    preprocessed = (base_analysis.records, base_analysis.preprocess_report)
+
     def make() -> StudyAnalysis:
-        view = object.__new__(StudyAnalysis)
-        view.dataset = base_analysis.dataset
-        view.scenario = base_analysis.scenario
-        view.records = base_analysis.records
-        view.preprocess_report = base_analysis.preprocess_report
+        view = StudyAnalysis.from_source(preprocessed[0], base_analysis.scenario)
+        view.pipeline.seed("preprocess", preprocessed)
         return view
 
     return make

@@ -10,9 +10,15 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from ..logs.schema import LogRecord
-from ..logs.sessionize import Session, sessionize, sessions_by_category
+from ..logs.sessionize import (
+    Session,
+    sessionize,
+    sessions_by_category,
+    sessions_per_day,
+)
 from ..uaparse.categories import BotCategory
 from .compliance import Directive  # noqa: F401  (re-exported convenience)
+from .spoofing import SpoofFinding, partition_records, spoofed_request_counts
 
 
 @dataclass(frozen=True)
@@ -54,13 +60,22 @@ def overview_row(records: list[LogRecord], sessions: list[Session] | None = None
 
 
 def dataset_overview(
-    records: list[LogRecord],
+    records: list[LogRecord], sessions: list[Session] | None = None
 ) -> dict[str, DatasetOverview]:
-    """Table 2: the "All data" and "Known bots" rows."""
+    """Table 2: the "All data" and "Known bots" rows.
+
+    The "Known bots" sessions are filtered from ``sessions`` rather
+    than sessionized again: sessions key on (IP hash, user agent) and
+    bot enrichment is a function of the user agent alone, so each
+    entity's records are either all known or all unknown.
+    """
+    if sessions is None:
+        sessions = sessionize(records)
     known = [record for record in records if record.bot_name is not None]
+    known_sessions = [session for session in sessions if session.bot_name is not None]
     return {
-        "All data": overview_row(records),
-        "Known bots": overview_row(known),
+        "All data": overview_row(records, sessions),
+        "Known bots": overview_row(known, known_sessions),
     }
 
 
@@ -112,11 +127,12 @@ def top_bots(
 
 
 def category_session_counts(
-    records: list[LogRecord],
+    records: list[LogRecord], sessions: list[Session] | None = None
 ) -> dict[BotCategory, int]:
     """Figure 2: total sessions per bot category (log-scaled in the
     paper's plot; raw counts here)."""
-    sessions = sessionize(records)
+    if sessions is None:
+        sessions = sessionize(records)
     grouped = sessions_by_category(sessions)
     return {
         category: len(category_sessions)
@@ -125,12 +141,11 @@ def category_session_counts(
 
 
 def daily_sessions_by_category(
-    records: list[LogRecord], top: int = 5
+    records: list[LogRecord], top: int = 5, sessions: list[Session] | None = None
 ) -> dict[BotCategory, dict[str, int]]:
     """Figure 4: sessions per day for the top categories by volume."""
-    from ..logs.sessionize import sessions_per_day
-
-    sessions = sessionize(records)
+    if sessions is None:
+        sessions = sessionize(records)
     grouped = sessions_by_category(sessions)
     ranked = sorted(grouped, key=lambda category: len(grouped[category]), reverse=True)
     return {
@@ -167,3 +182,67 @@ def bytes_cdf_by_category(
             points.append((day, running / total))
         series[category] = points
     return series
+
+
+@dataclass(frozen=True)
+class OverviewTables:
+    """Tables 2-3 and Figures 2-4, as the experiment drivers print them.
+
+    Attributes:
+        dataset: Table 2 rows (:func:`dataset_overview`).
+        top_bots: Table 3's top-20 bots (:func:`top_bots`).
+        category_sessions: Figure 2 (:func:`category_session_counts`).
+        bytes_cdf: Figure 3's top-5 categories
+            (:func:`bytes_cdf_by_category`).
+        daily_sessions: Figure 4's top-5 categories
+            (:func:`daily_sessions_by_category`).
+    """
+
+    dataset: dict[str, DatasetOverview]
+    top_bots: list[BotActivity]
+    category_sessions: dict[BotCategory, int]
+    bytes_cdf: dict[BotCategory, list[tuple[str, float]]]
+    daily_sessions: dict[BotCategory, dict[str, int]]
+
+
+def overview_tables(records: list[LogRecord]) -> OverviewTables:
+    """Every overview table and figure from one sessionization pass."""
+    sessions = sessionize(records)
+    return OverviewTables(
+        dataset=dataset_overview(records, sessions),
+        top_bots=top_bots(records, count=20),
+        category_sessions=category_session_counts(records, sessions),
+        bytes_cdf=bytes_cdf_by_category(records, top=5),
+        daily_sessions=daily_sessions_by_category(records, top=5, sessions=sessions),
+    )
+
+
+@dataclass(frozen=True)
+class PhaseTally:
+    """One deployment phase's Table 4 and Table 9 counts.
+
+    Attributes:
+        visits: experiment-site accesses during the phase.
+        bots: distinct known bots among them.
+        legitimate / spoofed: known-bot accesses split by the spoofing
+            heuristic's findings.
+    """
+
+    visits: int
+    bots: int
+    legitimate: int
+    spoofed: int
+
+
+def phase_tally(
+    records: list[LogRecord], findings: dict[str, SpoofFinding]
+) -> PhaseTally:
+    """Table 4 and Table 9 counts over one phase's records."""
+    legitimate, spoofed = spoofed_request_counts(partition_records(records, findings))
+    bots = {record.bot_name for record in records if record.bot_name is not None}
+    return PhaseTally(
+        visits=len(records),
+        bots=len(bots),
+        legitimate=legitimate,
+        spoofed=spoofed,
+    )

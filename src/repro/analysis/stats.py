@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from ..exceptions import ConfigError
 
@@ -78,6 +77,13 @@ def two_proportion_z_test(
         a :class:`ZTestResult`; invalid when either arm has fewer than
         :data:`MIN_TRIALS` trials or the pooled variance is zero (both
         arms all-success or all-failure).
+
+    The two-sided p-value is ``erfc(|z| / sqrt(2))``, i.e.
+    ``2 * (1 - Phi(|z|))`` computed in the tail without cancellation.
+    For ``|z| <= 37.5`` it agrees with ``2 * scipy.stats.norm.sf(|z|)``
+    to within 5e-13 relative, so ``.2e`` renders are identical; above
+    that band the two differ only in how the tail underflows (scipy
+    returns ``0.0`` or a subnormal).
     """
     if baseline.trials < MIN_TRIALS or treatment.trials < MIN_TRIALS:
         return INVALID_TEST
@@ -89,7 +95,7 @@ def two_proportion_z_test(
         # Identical degenerate proportions: no detectable change.
         return ZTestResult(z=0.0, p_value=1.0, valid=True)
     z = (treatment.proportion - baseline.proportion) / math.sqrt(variance)
-    p_value = 2.0 * float(norm.sf(abs(z)))
+    p_value = math.erfc(abs(z) / math.sqrt(2.0))
     return ZTestResult(z=z, p_value=p_value)
 
 
@@ -114,7 +120,7 @@ def wilson_interval(sample: ProportionSample, confidence: float = 0.95) -> tuple
     """
     if sample.trials == 0:
         return (0.0, 1.0)
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n = sample.trials
     p = sample.proportion
     denominator = 1.0 + z * z / n

@@ -164,13 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
             "one artifact cache"
         ),
     )
-    analyze.add_argument(
-        "--experiments",
-        nargs="*",
-        default=None,
-        metavar="ID",
-        help=f"artifact ids to print (default: all of {', '.join(EXPERIMENTS)})",
-    )
+    _add_experiments_option(analyze)
     _add_cache_options(analyze)
 
     report = commands.add_parser("report", help="simulate + analyze + print")
@@ -180,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--shard-by", choices=("site", "ip"), default="site"
     )
-    report.add_argument("--experiments", nargs="*", default=None, metavar="ID")
+    _add_experiments_option(report)
     _add_cache_options(report)
 
     convert = commands.add_parser(
@@ -440,6 +434,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_options(scenarios)
     return parser
+
+
+def _add_experiments_option(subparser: argparse.ArgumentParser) -> None:
+    """``--experiments``, validated before any log is read."""
+    subparser.add_argument(
+        "--experiments",
+        nargs="*",
+        type=str.upper,
+        choices=EXPERIMENTS,
+        default=None,
+        metavar="ID",
+        help=f"artifact ids to print (default: all of {', '.join(EXPERIMENTS)})",
+    )
 
 
 def _add_cache_options(subparser: argparse.ArgumentParser) -> None:

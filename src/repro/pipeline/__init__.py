@@ -14,9 +14,10 @@ the contract:
 
 **Pipeline** (:mod:`repro.pipeline.runner`)
     Validates the stage DAG (unique names, known deps, no cycles),
-    topologically orders it, memoizes artifacts single-flight in a
-    :class:`PipelineContext`, and executes independent stages
-    concurrently (``config.jobs``).
+    topologically orders it, and computes artifacts on demand,
+    memoized single-flight in a :class:`PipelineContext`.  Stages run
+    in the calling thread; ``config.jobs`` parallelizes shard work
+    inside a :class:`ShardStage`.
 
 **Sharding** (:mod:`repro.pipeline.shard`)
     Deterministic crc32 hash partitioning by site (or IP), an

@@ -1,4 +1,4 @@
-"""The Pipeline runner: topological ordering, memoization, concurrency.
+"""The Pipeline runner: topological ordering and memoization.
 
 :class:`Pipeline` owns a set of stages and a
 :class:`~repro.pipeline.context.PipelineContext`.  Construction
@@ -10,10 +10,10 @@ and memoized:
   and caches it in the context — repeated calls return the identical
   object, which is what lets the ``StudyAnalysis`` facade keep its
   historical ``cached_property`` semantics.
-- :meth:`run` computes many artifacts; with ``config.jobs > 1`` it
-  schedules independent stages concurrently on a thread pool (each
-  stage may itself fan out shard work onto processes via
-  :class:`~repro.pipeline.stage.ShardStage`).
+- :meth:`run` computes many artifacts, one :meth:`get` at a time.
+  Stages run in the calling thread (they are GIL-bound); the
+  parallelism is inside :class:`~repro.pipeline.stage.ShardStage`,
+  which fans shard work out onto the configured executor.
 
 Memoization is single-flight: concurrent requests for one artifact
 block on a shared future instead of duplicating work, so the same
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future
 
 from ..exceptions import PipelineError
 from .context import PipelineContext
@@ -52,7 +52,7 @@ from .store import (
 
 
 class Pipeline:
-    """A validated DAG of stages with memoized, concurrent execution."""
+    """A validated DAG of stages with memoized, demand-driven execution."""
 
     def __init__(
         self,
@@ -107,19 +107,6 @@ class Pipeline:
     def stages(self) -> tuple[str, ...]:
         """All stage names in topological order."""
         return self.order
-
-    def _closure(self, targets: Sequence[str]) -> set[str]:
-        needed: set[str] = set()
-        frontier = list(targets)
-        while frontier:
-            name = frontier.pop()
-            if name in needed:
-                continue
-            if name not in self._stages:
-                raise PipelineError(f"unknown stage {name!r}")
-            needed.add(name)
-            frontier.extend(self._stages[name].deps)
-        return needed
 
     # -- cache keys ---------------------------------------------------
 
@@ -330,64 +317,9 @@ class Pipeline:
     def run(self, targets: Sequence[str] | None = None) -> dict[str, object]:
         """Compute ``targets`` (default: every stage) and return them.
 
-        With ``config.jobs > 1``, independent stages execute
-        concurrently on a thread pool; otherwise stages run
-        sequentially in topological order.
-
         Demand flows through :meth:`get`, so only targets are pulled
-        directly and a cached target never materializes its upstream
-        closure: with a store attached, the scheduler submits the
-        targets themselves (dependencies resolve recursively inside
-        ``get``, and only on a miss) instead of pre-planning the full
-        dependency closure.
+        directly and, with a store attached, a cached target never
+        materializes its upstream closure.
         """
         wanted = tuple(targets) if targets is not None else self.order
-        needed = self._closure(wanted)  # validates names, finds cycles early
-        if self.context.config.jobs <= 1:
-            for name in wanted:
-                self.get(name)
-            return {name: self.context.artifacts[name] for name in wanted}
-        if self.context.store is not None:
-            plan = [name for name in self.order if name in set(wanted)]
-            with ThreadPoolExecutor(
-                max_workers=min(self.context.config.jobs, max(1, len(plan)))
-            ) as pool:
-                for future in [pool.submit(self.get, name) for name in plan]:
-                    future.result()  # re-raise stage errors
-            return {name: self.context.artifacts[name] for name in wanted}
-
-        plan = [name for name in self.order if name in needed]
-        remaining = {
-            name: {
-                dep
-                for dep in self._stages[name].deps
-                if dep not in self.context.artifacts
-            }
-            for name in plan
-        }
-        dependents: dict[str, list[str]] = {name: [] for name in plan}
-        for name in plan:
-            for dep in self._stages[name].deps:
-                dependents[dep].append(name)
-        with ThreadPoolExecutor(
-            max_workers=min(self.context.config.jobs, max(1, len(plan)))
-        ) as pool:
-            inflight: dict[Future, str] = {}
-
-            def submit_ready() -> None:
-                for name in list(remaining):
-                    if not remaining[name]:
-                        del remaining[name]
-                        inflight[pool.submit(self.get, name)] = name
-
-            submit_ready()
-            while inflight:
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    name = inflight.pop(future)
-                    future.result()  # re-raise stage errors
-                    for child in dependents[name]:
-                        if child in remaining:
-                            remaining[child].discard(name)
-                submit_ready()
-        return {name: self.context.artifacts[name] for name in wanted}
+        return {name: self.get(name) for name in wanted}

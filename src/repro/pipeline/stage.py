@@ -7,8 +7,8 @@ A stage is anything with three members:
     :class:`~repro.pipeline.context.PipelineContext`.
 ``deps``
     Names of stages whose artifacts must exist before ``run`` is
-    called.  The runner topologically orders stages from these
-    declarations and executes independent stages concurrently.
+    called.  The runner resolves these on demand before running the
+    stage.
 ``run(context)``
     Compute and return this stage's artifact.  Stages read their
     inputs via ``context.artifact(dep)`` and must not mutate other

@@ -11,13 +11,19 @@ over exactly this pipeline; drivers in
 
 Stage graph (artifact names)::
 
-    preprocess ──┬── overview
+    preprocess ──┬── overview ── overview_tables
                  ├── phase_slices ──┬── directive_records ── skipped_checks
                  │                  ├── per_bot ── category_table
-                 │                  └── per_bot_spoofed
+                 │                  ├── per_bot_spoofed
+                 │                  └── phase_tables
                  ├── passive ── recheck
                  ├── spoof_findings ── spoof_partitions
                  └── site_traffic
+
+``per_bot``, ``per_bot_spoofed`` and ``phase_tables`` also read
+``spoof_findings``.  ``overview_tables`` (Tables 2-3, Figures 2-4) and
+``phase_tables`` (Tables 4 and 9) hold the small printed tables, so a
+warm run loads them instead of the record lists they reduce.
 
 With ``config.jobs > 1`` the ``preprocess`` stage becomes a
 :class:`~repro.pipeline.stage.ShardStage`: the record stream is hash-
@@ -41,6 +47,7 @@ from ..analysis.columnar import (
     site_traffic_batches,
 )
 from ..analysis.compliance import Directive
+from ..analysis.overview import overview_tables, phase_tally
 from ..analysis.perbot import per_bot_results, spoofed_bot_results
 from ..analysis.spoofing import find_spoofed_bots, partition_records as spoof_partition
 from ..exceptions import PipelineError
@@ -64,6 +71,7 @@ __all__ = [
     "SiteTraffic",
     "VERSION_DIRECTIVES",
     "build_study_pipeline",
+    "phase_entry",
 ]
 
 #: Experiment phase -> measured directive (the paper's three
@@ -155,7 +163,7 @@ def _phase_slices(
     scenarios (e.g. baseline + one treatment) still support the
     phases they have; consumers of a missing phase reproduce the
     legacy per-version :class:`~repro.exceptions.ScenarioError` via
-    :func:`_slice_for`.
+    :func:`phase_entry`.
     """
     scenario = _scenario(context)
     site = scenario.experiment_site
@@ -178,15 +186,11 @@ def _phase_slices(
     return slices
 
 
-def _slice_for(
-    slices: dict[RobotsVersion, list[LogRecord]],
-    scenario,
-    version: RobotsVersion,
-) -> list[LogRecord]:
-    """One phase slice, raising the legacy ScenarioError when the
-    scenario has no phase for ``version``."""
+def phase_entry(by_phase: dict, scenario, version: RobotsVersion):
+    """One phase's entry of a per-phase artifact, raising the legacy
+    ScenarioError when the scenario has no phase for ``version``."""
     try:
-        return slices[version]
+        return by_phase[version]
     except KeyError:
         scenario.phase_for_version(version)  # raises ScenarioError
         raise  # pragma: no cover - scenario mutated mid-run
@@ -198,7 +202,7 @@ def _directive_records(
     slices = context.artifact("phase_slices")
     scenario = _scenario(context)
     return {
-        directive: _slice_for(slices, scenario, version)
+        directive: phase_entry(slices, scenario, version)
         for version, directive in VERSION_DIRECTIVES.items()
     }
 
@@ -224,7 +228,7 @@ def _spoof_partitions(context: PipelineContext):
 def _per_bot(context: PipelineContext):
     slices = context.artifact("phase_slices")
     return per_bot_results(
-        _slice_for(slices, _scenario(context), RobotsVersion.BASE),
+        phase_entry(slices, _scenario(context), RobotsVersion.BASE),
         context.artifact("directive_records"),
         spoof_findings=context.artifact("spoof_findings"),
     )
@@ -233,10 +237,22 @@ def _per_bot(context: PipelineContext):
 def _per_bot_spoofed(context: PipelineContext):
     slices = context.artifact("phase_slices")
     return spoofed_bot_results(
-        _slice_for(slices, _scenario(context), RobotsVersion.BASE),
+        phase_entry(slices, _scenario(context), RobotsVersion.BASE),
         context.artifact("directive_records"),
         context.artifact("spoof_findings"),
     )
+
+
+def _phase_tables(context: PipelineContext):
+    findings = context.artifact("spoof_findings")
+    return {
+        version: phase_tally(records, findings)
+        for version, records in context.artifact("phase_slices").items()
+    }
+
+
+def _overview_tables(context: PipelineContext):
+    return overview_tables(context.artifact("overview"))
 
 
 def _category_table(context: PipelineContext):
@@ -371,11 +387,21 @@ def build_study_pipeline(
                 "per_bot",
                 _per_bot,
                 deps=("phase_slices", "directive_records", "spoof_findings"),
+                token="2",
             ),
             FunctionStage(
                 "per_bot_spoofed",
                 _per_bot_spoofed,
                 deps=("phase_slices", "directive_records", "spoof_findings"),
+                token="2",
+            ),
+            FunctionStage(
+                "overview_tables", _overview_tables, deps=("overview",)
+            ),
+            FunctionStage(
+                "phase_tables",
+                _phase_tables,
+                deps=("phase_slices", "spoof_findings"),
             ),
             FunctionStage("category_table", _category_table, deps=("per_bot",)),
             FunctionStage(

@@ -3,22 +3,16 @@
 Each driver takes a :class:`~repro.reporting.study.StudyAnalysis` and
 returns an :class:`ExperimentResult` carrying both the structured data
 and a rendered text block printing the same rows/series the paper
-reports.  The benchmark harness calls exactly these functions.
+reports.  Drivers only format: every number they print is a pipeline
+artifact the facade looks up.  The benchmark harness calls exactly
+these functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from ..analysis.compliance import Directive
-from ..analysis.overview import (
-    bytes_cdf_by_category,
-    category_session_counts,
-    daily_sessions_by_category,
-    dataset_overview,
-    top_bots,
-)
 from ..robots.corpus import RobotsVersion, all_versions
 from .figures import render_bar_chart, render_grouped_bars, render_series
 from .study import StudyAnalysis
@@ -50,7 +44,7 @@ class ExperimentResult:
 
 def table2(analysis: StudyAnalysis) -> ExperimentResult:
     """Table 2: dataset overview (all data vs known bots)."""
-    rows_by_subset = dataset_overview(analysis.overview_records)
+    rows_by_subset = analysis.overview_tables.dataset
     headers = (
         "Data subset",
         "Unique IPs",
@@ -84,7 +78,7 @@ def table2(analysis: StudyAnalysis) -> ExperimentResult:
 
 def table3(analysis: StudyAnalysis) -> ExperimentResult:
     """Table 3: the 20 most active known bots."""
-    activity = top_bots(analysis.overview_records, count=20)
+    activity = analysis.overview_tables.top_bots
     headers = ("Bot", "Hits", "% of traffic", "GB scraped")
     rows = [
         (
@@ -292,7 +286,7 @@ def table10(analysis: StudyAnalysis) -> ExperimentResult:
 
 def figure2(analysis: StudyAnalysis) -> ExperimentResult:
     """Figure 2: sessions per bot category (log scale)."""
-    counts = category_session_counts(analysis.overview_records)
+    counts = analysis.overview_tables.category_sessions
     ordered = dict(
         sorted(counts.items(), key=lambda item: item[1], reverse=True)
     )
@@ -309,7 +303,7 @@ def figure2(analysis: StudyAnalysis) -> ExperimentResult:
 
 def figure3(analysis: StudyAnalysis) -> ExperimentResult:
     """Figure 3: CDF of bytes downloaded over time, top-5 categories."""
-    series = bytes_cdf_by_category(analysis.overview_records, top=5)
+    series = analysis.overview_tables.bytes_cdf
     rendered = render_series(
         {category.value: points for category, points in series.items()},
         title="Figure 3: CDF of bytes downloaded by category",
@@ -324,7 +318,7 @@ def figure3(analysis: StudyAnalysis) -> ExperimentResult:
 
 def figure4(analysis: StudyAnalysis) -> ExperimentResult:
     """Figure 4: scraper sessions per day, top-5 categories."""
-    series = daily_sessions_by_category(analysis.overview_records, top=5)
+    series = analysis.overview_tables.daily_sessions
     rendered = render_series(
         {
             category.value: [(day, float(count)) for day, count in days.items()]
@@ -444,41 +438,17 @@ def run_experiment(experiment_id: str, analysis: StudyAnalysis) -> ExperimentRes
     return driver(analysis)
 
 
-def run_all(
-    analysis: StudyAnalysis, jobs: int = 1
-) -> dict[str, ExperimentResult]:
-    """Run every experiment driver, in the paper's order.
-
-    With ``jobs > 1`` the drivers execute as stages of a
-    :class:`~repro.pipeline.runner.Pipeline`: independent drivers run
-    concurrently, and because the backing ``StudyAnalysis`` artifacts
-    are memoized single-flight, shared inputs (per-bot results, phase
-    slices) are still computed exactly once.  Results are identical to
-    the sequential run.
-    """
-    return run_batch({"study": analysis}, jobs=jobs)["study"]
-
-
-def _experiment_stage(driver, analysis: StudyAnalysis, context) -> ExperimentResult:
-    """Module-level stage callable for :func:`run_batch`.
-
-    Bound with :func:`functools.partial` instead of a lambda so batch
-    stages stay picklable and visible to the stage call-graph linter.
-    """
-    return driver(analysis)
+def run_all(analysis: StudyAnalysis) -> dict[str, ExperimentResult]:
+    """Run every experiment driver, in the paper's order."""
+    return run_batch({"study": analysis})["study"]
 
 
 def run_batch(
     analyses: dict[str, StudyAnalysis],
     experiment_ids: list[str] | None = None,
-    jobs: int = 1,
 ) -> dict[str, dict[str, ExperimentResult]]:
-    """Multi-study batch entry point on the pipeline runner.
-
-    Runs the selected experiments for every named analysis (e.g. one
-    per site or per longitudinal snapshot corpus) as a single stage
-    DAG, so independent (study, experiment) pairs execute concurrently
-    under one ``jobs`` budget.
+    """Run the selected experiments for every named analysis (e.g. one
+    per site or per longitudinal snapshot corpus).
 
     Returns ``{study name: {experiment id: result}}`` preserving the
     input order.
@@ -490,30 +460,7 @@ def run_batch(
                 f"unknown experiment {key!r}; choose from "
                 + ", ".join(EXPERIMENTS)
             )
-    if jobs <= 1:
-        return {
-            name: {key: EXPERIMENTS[key](analysis) for key in wanted}
-            for name, analysis in analyses.items()
-        }
-    from ..pipeline import FunctionStage, Pipeline, PipelineConfig
-    from ..pipeline.context import PipelineContext
-
-    stages = [
-        FunctionStage(
-            name=f"{name}:{key}",
-            fn=partial(_experiment_stage, EXPERIMENTS[key], analysis),
-        )
-        for name, analysis in analyses.items()
-        for key in wanted
-    ]
-    pipeline = Pipeline(
-        stages,
-        context=PipelineContext(
-            config=PipelineConfig(jobs=jobs, executor="thread")
-        ),
-    )
-    results = pipeline.run([item.name for item in stages])
     return {
-        name: {key: results[f"{name}:{key}"] for key in wanted}
-        for name in analyses
+        name: {key: EXPERIMENTS[key](analysis) for key in wanted}
+        for name, analysis in analyses.items()
     }

@@ -9,48 +9,47 @@ memoizing :class:`~repro.pipeline.runner.Pipeline` runner, which can
 shard preprocessing by site across worker processes (``jobs``) and
 stream records straight from log readers.
 
-The public surface is unchanged — every attribute below returns the
-same object on repeated access (pipeline artifacts are memoized
-single-flight), and ``jobs=1`` (the default) is byte-identical to the
-legacy sequential path.  New code that wants partial computation,
-custom stages, or shard-level control should use the pipeline API
-directly; this facade exists so existing callers and the experiment
-drivers keep working unmodified.
+Every attribute below is a lookup of one pipeline artifact, and
+nothing is computed outside the stage DAG.  Construction is lazy:
+building the facade runs no stage, and each artifact is computed (or
+loaded from the artifact store) on first access, then returns the
+same object on repeated access.  ``jobs=1`` (the default) is
+byte-identical to the sharded path.  New code that wants partial
+computation, custom stages, or shard-level control should use the
+pipeline API directly.
 
-Stage-name mapping (facade attribute -> pipeline artifact):
+Facade attribute -> pipeline artifact:
 
-=====================  ====================
-``records``/``preprocess_report``  ``preprocess``
-``overview_records``   ``overview``
-``baseline_records``   ``phase_slices[BASE]``
-``directive_records``  ``directive_records``
-``passive_site_records``  ``passive``
-``spoof_findings``     ``spoof_findings``
-``spoof_partitions``   ``spoof_partitions``
-``per_bot``            ``per_bot``
-``per_bot_spoofed``    ``per_bot_spoofed``
-``category_table``     ``category_table``
-``skipped_checks``     ``skipped_checks``
-``recheck_proportions``  ``recheck``
-``site_traffic``       ``site_traffic``
-=====================  ====================
+==============================================  ==========================
+``records``/``preprocess_report``               ``preprocess``
+``overview_records``                            ``overview``
+``overview_tables``                             ``overview_tables``
+``phase_records(v)``/``baseline_records``       ``phase_slices[v]``
+``phase_summary(v)``/``phase_spoof_counts(v)``  ``phase_tables[v]``
+``directive_records``                           ``directive_records``
+``passive_site_records``                        ``passive``
+``spoof_findings``                              ``spoof_findings``
+``spoof_partitions``                            ``spoof_partitions``
+``per_bot``                                     ``per_bot``
+``per_bot_spoofed``                             ``per_bot_spoofed``
+``category_table``                              ``category_table``
+``skipped_checks``                              ``skipped_checks``
+``recheck_proportions``                         ``recheck``
+``site_traffic``                                ``site_traffic``
+==============================================  ==========================
 """
 
 from __future__ import annotations
 
 from ..analysis.aggregate import CategoryComplianceTable
 from ..analysis.compliance import Directive
+from ..analysis.overview import OverviewTables, PhaseTally
 from ..analysis.perbot import BotDirectiveResult
-from ..analysis.spoofing import SpoofFinding, SpoofPartition, partition_records
-from ..logs.preprocess import Preprocessor
+from ..analysis.spoofing import SpoofFinding, SpoofPartition
+from ..logs.preprocess import Preprocessor, PreprocessReport
 from ..logs.schema import LogRecord
-from ..pipeline import (
-    Pipeline,
-    PipelineConfig,
-    RecordSource,
-    build_study_pipeline,
-)
-from ..pipeline.stages import VERSION_DIRECTIVES, SiteTraffic
+from ..pipeline import PipelineConfig, build_study_pipeline
+from ..pipeline.stages import VERSION_DIRECTIVES, SiteTraffic, phase_entry
 from ..robots.corpus import RobotsVersion
 from ..simulation.engine import StudyDataset
 
@@ -62,7 +61,8 @@ class StudyAnalysis:
 
     Args:
         dataset: output of the simulation engine (or a dataset built
-            from real logs with the same scenario metadata).
+            from real logs with the same scenario metadata); ``None``
+            when ``source`` and ``scenario`` are given instead.
         preprocessor: pipeline override for custom registries
             (always runs in-process).
         jobs: shard/worker count for preprocessing; ``1`` (default)
@@ -82,20 +82,16 @@ class StudyAnalysis:
             set, stage artifacts are served from (and published to)
             disk keyed by source/code fingerprints, so re-analyzing an
             unchanged or append-grown corpus only reruns affected
-            stages.  ``None`` (default) keeps the legacy all-in-memory
-            behavior.
+            stages.  ``None`` (default) keeps everything in memory.
         no_cache: bypass cache reads while still publishing — a
             refresh that rebuilds the cache from scratch.
-
-    .. deprecated-style note::
-        The eagerly-cached-property implementation is gone; attributes
-        are now thin views over pipeline artifacts.  Prefer
-        :func:`repro.pipeline.build_study_pipeline` for new code.
+        source / scenario: analyze this record source under this
+            scenario instead of ``dataset`` (see :meth:`from_source`).
     """
 
     def __init__(
         self,
-        dataset: StudyDataset,
+        dataset: StudyDataset | None,
         preprocessor: Preprocessor | None = None,
         jobs: int = 1,
         shard_by: str = "site",
@@ -105,11 +101,14 @@ class StudyAnalysis:
         remote_store=None,
         cache_dir: object = None,
         no_cache: bool = False,
+        *,
+        source=None,
+        scenario=None,
     ) -> None:
         self.dataset = dataset
-        self.scenario = dataset.scenario
-        self._pipeline = build_study_pipeline(
-            source=dataset.source(),
+        self.scenario = dataset.scenario if scenario is None else scenario
+        self.pipeline = build_study_pipeline(
+            source=dataset.source() if source is None else source,
             scenario=self.scenario,
             config=PipelineConfig(
                 jobs=jobs,
@@ -123,79 +122,23 @@ class StudyAnalysis:
             no_cache=no_cache,
             remote_store=remote_store,
         )
-        self.records, self.preprocess_report = self._pipeline.get("preprocess")
 
     @classmethod
-    def from_source(
-        cls,
-        source,
-        scenario,
-        preprocessor: Preprocessor | None = None,
-        jobs: int = 1,
-        shard_by: str = "site",
-        executor: str = "process",
-        spool: str | None = None,
-        workers: int | None = None,
-        remote_store=None,
-        cache_dir: object = None,
-        no_cache: bool = False,
-    ) -> "StudyAnalysis":
+    def from_source(cls, source, scenario, **options) -> "StudyAnalysis":
         """Build an analysis straight from a streaming record source.
 
         ``source`` is anything :meth:`RecordSource.of` accepts — most
         usefully a reader factory like ``lambda: read_jsonl(path)``,
-        which is streamed rather than materialized twice.  The
-        ``dataset`` attribute is ``None`` on instances built this way.
+        which is streamed rather than materialized twice.  ``options``
+        are the constructor's keyword arguments.  The ``dataset``
+        attribute is ``None`` on instances built this way.
         """
-        analysis = object.__new__(cls)
-        analysis.dataset = None
-        analysis.scenario = scenario
-        analysis._pipeline = build_study_pipeline(
-            source=source,
-            scenario=scenario,
-            config=PipelineConfig(
-                jobs=jobs,
-                shard_by=shard_by,
-                executor=executor,
-                spool=spool,
-                workers=workers,
-            ),
-            preprocessor=preprocessor,
-            cache_dir=cache_dir,
-            no_cache=no_cache,
-            remote_store=remote_store,
-        )
-        analysis.records, analysis.preprocess_report = analysis._pipeline.get(
-            "preprocess"
-        )
-        return analysis
+        return cls(None, source=source, scenario=scenario, **options)
 
     # -- pipeline plumbing -------------------------------------------------
 
-    @property
-    def pipeline(self) -> Pipeline:
-        """The backing pipeline (build it lazily for hand-built views)."""
-        return self._ensure_pipeline()
-
-    def _ensure_pipeline(self) -> Pipeline:
-        pipeline = self.__dict__.get("_pipeline")
-        if pipeline is None:
-            # Views constructed without __init__ (e.g. benchmark
-            # fixtures sharing preprocessed records) get a fresh
-            # sequential pipeline seeded with their records.
-            pipeline = build_study_pipeline(
-                source=RecordSource.of(self.records),
-                scenario=self.scenario,
-                config=PipelineConfig(),
-            )
-            pipeline.seed(
-                "preprocess", (self.records, self.preprocess_report)
-            )
-            self._pipeline = pipeline
-        return pipeline
-
     def _artifact(self, name: str):
-        return self._ensure_pipeline().get(name)
+        return self.pipeline.get(name)
 
     @property
     def cache_stats(self):
@@ -203,11 +146,9 @@ class StudyAnalysis:
 
         All-zero when the analysis was built without a ``cache_dir``.
         """
-        return self._ensure_pipeline().context.stats
+        return self.pipeline.context.stats
 
-    def run_all(
-        self, experiment_ids: list[str] | None = None, jobs: int = 1
-    ) -> dict:
+    def run_all(self, experiment_ids: list[str] | None = None) -> dict:
         """Every experiment driver's result, keyed by experiment id.
 
         Convenience wrapper over
@@ -217,9 +158,18 @@ class StudyAnalysis:
         """
         from .experiments import run_batch
 
-        return run_batch(
-            {"study": self}, experiment_ids=experiment_ids, jobs=jobs
-        )["study"]
+        return run_batch({"study": self}, experiment_ids=experiment_ids)["study"]
+
+    # -- preprocessing -----------------------------------------------------
+
+    @property
+    def records(self) -> list[LogRecord]:
+        """The enriched, scanner-screened records."""
+        return self._artifact("preprocess")[0]
+
+    @property
+    def preprocess_report(self) -> PreprocessReport:
+        return self._artifact("preprocess")[1]
 
     # -- slicing -----------------------------------------------------------
 
@@ -230,14 +180,7 @@ class StudyAnalysis:
 
     def phase_records(self, version: RobotsVersion) -> list[LogRecord]:
         """Experiment-site records during one deployment."""
-        slices = self._artifact("phase_slices")
-        try:
-            return slices[version]
-        except KeyError:
-            # Reproduce the legacy per-version error for scenarios
-            # that do not define this phase.
-            self.scenario.phase_for_version(version)  # raises ScenarioError
-            raise  # pragma: no cover - scenario mutated mid-run
+        return phase_entry(self._artifact("phase_slices"), self.scenario, version)
 
     @property
     def baseline_records(self) -> list[LogRecord]:
@@ -253,6 +196,11 @@ class StudyAnalysis:
         return self._artifact("passive")
 
     # -- analyses ------------------------------------------------------------
+
+    @property
+    def overview_tables(self) -> OverviewTables:
+        """Tables 2-3 and Figures 2-4 over the overview window."""
+        return self._artifact("overview_tables")
 
     @property
     def spoof_findings(self) -> dict[str, SpoofFinding]:
@@ -295,26 +243,20 @@ class StudyAnalysis:
         """Per-site traffic tallies (multi-site batch substrate)."""
         return self._artifact("site_traffic")
 
-    # -- phase-level spoofing (Table 9) -----------------------------------------
+    # -- per-phase counts (Tables 4 and 9) ------------------------------------
+
+    def _phase_tally(self, version: RobotsVersion) -> PhaseTally:
+        return phase_entry(self._artifact("phase_tables"), self.scenario, version)
 
     def phase_spoof_counts(self, version: RobotsVersion) -> tuple[int, int]:
         """(legitimate, spoofed) request counts during one deployment."""
-        records = self.phase_records(version)
-        partitions = partition_records(records, self.spoof_findings)
-        legitimate = sum(len(part.legitimate) for part in partitions.values())
-        spoofed = sum(len(part.spoofed) for part in partitions.values())
-        return legitimate, spoofed
-
-    # -- dataset summaries --------------------------------------------------------
+        tally = self._phase_tally(version)
+        return tally.legitimate, tally.spoofed
 
     def phase_summary(self, version: RobotsVersion) -> tuple[int, int]:
         """(unique site visits, unique bot visitors) for Table 4."""
-        records = self.phase_records(version)
-        visits = len(records)
-        bots = len({
-            record.bot_name for record in records if record.bot_name is not None
-        })
-        return visits, bots
+        tally = self._phase_tally(version)
+        return tally.visits, tally.bots
 
 
 def analyze(dataset: StudyDataset) -> StudyAnalysis:

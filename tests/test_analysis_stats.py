@@ -86,6 +86,24 @@ class TestZTest:
         assert forward.z == pytest.approx(-backward.z, abs=1e-12)
         assert forward.p_value == pytest.approx(backward.p_value, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        ("baseline", "treatment", "z", "p"),
+        [
+            ((50, 100), (51, 100), "0.14", "8.88e-01"),
+            ((40, 100), (60, 100), "2.83", "4.68e-03"),
+            ((10, 100), (90, 100), "11.31", "1.12e-29"),
+            ((6, 300), (300, 300), "24.01", "2.20e-127"),
+            ((700, 1000), (0, 1000), "-32.82", "3.42e-236"),
+        ],
+    )
+    def test_rendered_p_values_are_pinned(self, baseline, treatment, z, p):
+        """Table 10 renders, pinned for |z| <= 37.5, where the stdlib
+        tail agrees with ``2 * scipy.stats.norm.sf(|z|)``."""
+        result = two_proportion_z_test(
+            ProportionSample(*baseline), ProportionSample(*treatment)
+        )
+        assert (f"{result.z:.2f}", f"{result.p_value:.2e}") == (z, p)
+
     @given(st.integers(5, 500), st.integers(0, 500))
     def test_p_value_in_range(self, n, k):
         sample = ProportionSample(min(k, n), n)
@@ -123,6 +141,10 @@ class TestWilson:
         sample = ProportionSample(30, 100)
         low, high = wilson_interval(sample)
         assert low < sample.proportion < high
+
+    def test_95_percent_interval_value(self):
+        low, high = wilson_interval(ProportionSample(30, 100))
+        assert (round(low, 6), round(high, 6)) == (0.218949, 0.395849)
 
     def test_empty_sample_full_interval(self):
         assert wilson_interval(ProportionSample(0, 0)) == (0.0, 1.0)

@@ -95,6 +95,28 @@ class TestSimulateAnalyzeRoundTrip:
         assert header.startswith("useragent,timestamp,ip_hash")
 
 
+class TestExperimentIds:
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_unknown_id_exits_2_before_reading_the_log(
+        self, tmp_path, capsys, command
+    ):
+        # The log does not exist: reaching the reader would raise
+        # FileNotFoundError instead of the argparse usage error.
+        args = [str(tmp_path / "missing.jsonl")] if command == "analyze" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *args, "--experiments", "T5", "T99"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'T99'" in capsys.readouterr().err
+
+    def test_ids_are_case_insensitive(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["analyze", "log.jsonl", "--experiments", "t5", "f10"]
+        )
+        assert args.experiments == ["T5", "F10"]
+
+
 class TestReportCommand:
     def test_report_selected_experiment(self, capsys):
         assert main(["report", "--scale", "0.005", "--experiments", "T2"]) == 0

@@ -296,6 +296,10 @@ class TestPartialScenario:
             analysis.phase_records(RobotsVersion.V3_DISALLOW_ALL)
         with pytest.raises(ScenarioError):
             analysis.directive_records
+        assert analysis.phase_summary(RobotsVersion.BASE) == (0, 0)
+        for lookup in (analysis.phase_summary, analysis.phase_spoof_counts):
+            with pytest.raises(ScenarioError):
+                lookup(RobotsVersion.V3_DISALLOW_ALL)
 
 
 class TestDatasetShardIterator:

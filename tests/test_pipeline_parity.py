@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.bots.profiles import build_profiles
 from repro.logs.schema import LogRecord
 from repro.pipeline import PipelineConfig, build_study_pipeline
-from repro.reporting.experiments import run_all, run_experiment
+from repro.reporting.experiments import run_experiment
 from repro.reporting.study import StudyAnalysis
 from repro.simulation import quick_scenario
 
@@ -139,13 +139,6 @@ class TestProcessExecutorParity:
                 run_experiment(experiment_id, sharded).rendered
                 == run_experiment(experiment_id, quick_analysis).rendered
             ), experiment_id
-
-    def test_run_all_concurrent_matches_sequential(self, quick_analysis):
-        sequential = run_all(quick_analysis)
-        concurrent = run_all(quick_analysis, jobs=4)
-        assert list(sequential) == list(concurrent)
-        for key in sequential:
-            assert sequential[key].rendered == concurrent[key].rendered
 
 
 class TestObservatoryBatchParity:

@@ -82,6 +82,8 @@ CACHEABLE_STAGES = frozenset(
         "skipped_checks",
         "recheck",
         "site_traffic",
+        "overview_tables",
+        "phase_tables",
     }
 )
 
@@ -450,8 +452,11 @@ class TestIntegration:
         assert first.cache_stats.published > 0
 
         second = StudyAnalysis(quick_dataset, cache_dir=tmp_path)
-        assert second.cache_stats.stage_events["preprocess"] == "hit"
+        assert second.cache_stats.stage_events == {}  # construction is lazy
         assert second.category_table.cells == table_cold.cells
+        assert "preprocess" not in second.cache_stats.stage_events
+        assert len(second.records) == len(first.records)
+        assert second.cache_stats.stage_events["preprocess"] == "hit"
         assert second.cache_stats.misses == 0
 
     def test_dataset_fingerprint_is_stable_and_content_based(
