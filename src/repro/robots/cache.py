@@ -9,6 +9,7 @@ production users drive it with ``time.time``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .policy import RobotsPolicy
@@ -27,7 +28,6 @@ class CacheEntry:
             memoized per-agent rule sets) travels with the entry, so a
             reused entry keeps its warmed compilation.
         fetched_at: when the robots.txt behind it was fetched.
-        hits: fresh-entry lookups served.
         text: the raw robots.txt body the policy was compiled from;
             lets a TTL refresh detect byte-identical re-fetches and
             skip recompilation entirely.
@@ -35,7 +35,6 @@ class CacheEntry:
 
     policy: RobotsPolicy
     fetched_at: float
-    hits: int = 0
     text: str | None = None
 
 
@@ -46,14 +45,14 @@ class RobotsCache:
     Attributes:
         ttl_seconds: entry lifetime; entries older than this are
             reported stale and evicted on access.
-        max_entries: bound on cache size; the oldest entry is evicted
-            when full (simple FIFO-by-fetch-time, sufficient for the
-            handful of origins a polite crawler tracks).
+        max_entries: bound on cache size; when full, the entry with
+            the oldest fetch time is evicted (FIFO by fetch time).
         max_retired: bound on the retired side table.  Under origin
             churn (many sites seen once, TTL-expired, never refreshed)
             the side table would otherwise fill with dead entries up
             to ``max_entries`` and keep them forever; the side table
             is an optimization, so it gets a much smaller budget.
+            When full, the entry retired longest ago is dropped.
             ``0`` disables retention entirely.
         recompilations_avoided: TTL refreshes that yielded a
             byte-identical robots.txt and reused the previously
@@ -67,6 +66,16 @@ class RobotsCache:
     the re-fetched body against the last seen one — the common
     production case is a daily re-fetch returning the same bytes, for
     which re-parsing and re-compiling every rule is pure waste.
+
+    Both tables are kept in store order, so eviction is O(1) however
+    many origins a crawler tracks: storing an origin moves it to the
+    end, and a full table drops its first key.  In the live table an
+    entry's ``fetched_at`` is the ``now`` of its last store, so under
+    a clock that never goes backwards "stored longest ago" is exactly
+    "oldest fetch time" (ties going to the earlier store).  In the
+    retired table the first key is the entry retired longest ago: the
+    side table drops in retirement order, because a recently retired
+    origin is the one most likely to be refreshed next.
     """
 
     ttl_seconds: float = DEFAULT_TTL_SECONDS
@@ -75,17 +84,21 @@ class RobotsCache:
     recompilations_avoided: int = 0
     evictions: int = 0
     retired_evictions: int = 0
-    _entries: dict[str, CacheEntry] = field(default_factory=dict, repr=False)
-    _retired: dict[str, CacheEntry] = field(default_factory=dict, repr=False)
+    _entries: OrderedDict[str, CacheEntry] = field(
+        default_factory=OrderedDict, repr=False
+    )
+    _retired: OrderedDict[str, CacheEntry] = field(
+        default_factory=OrderedDict, repr=False
+    )
 
     def _store(
         self,
-        table: dict[str, CacheEntry],
+        table: OrderedDict[str, CacheEntry],
         origin: str,
         entry: CacheEntry,
         limit: int,
     ) -> int:
-        """Insert into ``table`` bounded at ``limit`` entries.
+        """Insert ``origin`` last in ``table``, bounded at ``limit``.
 
         Returns how many entries were dropped to make room (0 or 1;
         a non-positive ``limit`` refuses the insert and counts it as
@@ -94,9 +107,10 @@ class RobotsCache:
         if limit <= 0:
             return 1
         evicted = 0
-        if origin not in table and len(table) >= limit:
-            oldest = min(table, key=lambda key: table[key].fetched_at)
-            del table[oldest]
+        if origin in table:
+            table.move_to_end(origin)
+        elif len(table) >= limit:
+            table.popitem(last=False)
             evicted = 1
         table[origin] = entry
         return evicted
@@ -113,7 +127,6 @@ class RobotsCache:
                 self._retired, origin, entry, self.max_retired
             )
             return None
-        entry.hits += 1
         return entry.policy
 
     def put(

@@ -148,11 +148,7 @@ class ServiceProtocol(asyncio.Protocol):
         try:
             status, payload = await self.router.respond(method, target, body)
         except Exception as exc:  # defensive: keep the loop alive
-            status, payload = 500, (
-                b'{"error":"internal error: '
-                + str(exc).replace('"', "'").encode("utf-8", "replace")
-                + b'"}'
-            )
+            status, payload = self.router.internal_error(exc)
         self._write(status, payload, keep)
         self._waiting = False
         self._pump()

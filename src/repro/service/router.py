@@ -20,7 +20,8 @@ Endpoints:
     Deterrence-gateway verdict (blocklist → robots → rate limit →
     tarpit), stateful across calls like the proxy it models.
 ``GET /stats``
-    Cache hit rates, eviction counters, per-endpoint latency.
+    Cache hit rates, eviction counters, per-endpoint latency, and the
+    count of requests answered with a 500 (``internal_errors``).
 ``GET /healthz``
     Liveness probe.
 """
@@ -28,7 +29,9 @@ Endpoints:
 from __future__ import annotations
 
 import json
+import sys
 import time
+import traceback
 from urllib.parse import unquote_plus
 
 from ..exceptions import ServiceError
@@ -69,12 +72,38 @@ def parse_query(query: str) -> dict[str, str]:
 
 
 class ServiceRouter:
-    """Route (method, target, body) onto :class:`DecisionService`."""
+    """Route (method, target, body) onto :class:`DecisionService`.
 
-    __slots__ = ("service",)
+    One router serves every connection of a server, so it also owns
+    the server's ``internal_errors`` counter.
+    """
+
+    __slots__ = ("service", "internal_errors")
 
     def __init__(self, service: DecisionService) -> None:
         self.service = service
+        self.internal_errors = 0
+
+    def stats(self) -> dict:
+        """The ``/stats`` payload: service stats plus this router's
+        500 count."""
+        stats = self.service.stats()
+        stats["internal_errors"] = self.internal_errors
+        return stats
+
+    def internal_error(self, exc: Exception) -> tuple[int, bytes]:
+        """The 500 answer for an unexpected exception.
+
+        The body carries only a per-server error id; the traceback
+        goes to stderr under the same id, so an operator can match a
+        client report to its cause without the exception text (paths,
+        internals) ever reaching the client.
+        """
+        self.internal_errors += 1
+        error_id = self.internal_errors
+        print(f"repro.service internal error id={error_id}", file=sys.stderr)
+        traceback.print_exception(exc, file=sys.stderr)
+        return 500, encode({"error": "internal error", "id": error_id})
 
     # -- fast path ---------------------------------------------------
 
@@ -111,7 +140,7 @@ class ServiceRouter:
         if path == "/healthz":
             return 200, _HEALTH_BODY
         if path == "/stats":
-            return 200, encode(self.service.stats())
+            return 200, encode(self.stats())
         return None
 
     # -- full path ---------------------------------------------------
@@ -133,7 +162,7 @@ class ServiceRouter:
             if path == "/healthz" and method == "GET":
                 return 200, _HEALTH_BODY
             if path == "/stats" and method == "GET":
-                return 200, encode(self.service.stats())
+                return 200, encode(self.stats())
         except ServiceError as exc:
             self.service.counter(path.lstrip("/")).errors += 1
             return _error(502, str(exc))

@@ -1,5 +1,8 @@
 """Unit tests for the TTL robots.txt cache."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.robots.cache import DEFAULT_TTL_SECONDS, RobotsCache
 from repro.robots.policy import RobotsPolicy
 
@@ -179,3 +182,144 @@ class TestRetiredSideTableBounds:
             "evictions": 0,
             "retired_evictions": 0,
         }
+
+
+class TestStoreOrderEviction:
+    """Retirement order, not fetch order, decides which retired entry
+    the full side table drops."""
+
+    def test_retired_table_drops_longest_retired_not_oldest_fetch(self):
+        cache = RobotsCache(ttl_seconds=10.0, max_retired=2)
+        policy_a = cache.refresh("a", ROBOTS_TEXT, now=0.0)
+        policy_b = cache.refresh("b", ROBOTS_TEXT, now=1.0)
+        assert cache.get("b", now=20.0) is None  # retire b first
+        assert cache.get("a", now=21.0) is None  # then a
+        cache.refresh("c", ROBOTS_TEXT, now=22.0)
+        assert cache.get("c", now=40.0) is None  # overflow: drops b
+        assert cache.stats()["retired_evictions"] == 1
+        assert cache.refresh("a", ROBOTS_TEXT, now=41.0) is policy_a
+        assert cache.refresh("b", ROBOTS_TEXT, now=42.0) is not policy_b
+
+
+MODEL_TTL = 10.0
+MODEL_TEXTS = (ROBOTS_TEXT, ROBOTS_TEXT + "Disallow: /y\n")
+
+#: Stores and lookups are weighted up and sequences kept long: the
+#: eviction rules only part ways once a table is full and retirement
+#: order differs from fetch order.  Clock steps include ties (0).
+model_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            (
+                *("put", "refresh") * 2,
+                *("get",) * 3,
+                "invalidate",
+                "needs_refresh",
+            )
+        ),
+        st.sampled_from("abcdef"),
+        st.sampled_from((0, 1, 2, 4)),
+        st.sampled_from(MODEL_TEXTS),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+class CacheModel:
+    """Reference semantics written as the rule, not the mechanism:
+    the live table evicts the smallest ``(fetched_at, store sequence)``,
+    the side table the entry retired longest ago."""
+
+    def __init__(self, max_entries: int, max_retired: int) -> None:
+        self.max_entries = max_entries
+        self.max_retired = max_retired
+        self.live: dict[str, tuple[float, int, str]] = {}
+        self.retired: dict[str, tuple[int, str]] = {}
+        self.evictions = 0
+        self.retired_evictions = 0
+        self.sequence = 0
+
+    def _tick(self) -> int:
+        self.sequence += 1
+        return self.sequence
+
+    def store_live(self, key: str, now: float, text: str) -> None:
+        if key not in self.live and len(self.live) >= self.max_entries:
+            victim = min(self.live, key=lambda k: self.live[k][:2])
+            del self.live[victim]
+            self.evictions += 1
+        self.live[key] = (now, self._tick(), text)
+
+    def put(self, key: str, now: float, text: str) -> None:
+        self.retired.pop(key, None)
+        self.store_live(key, now, text)
+
+    def get(self, key: str, now: float) -> bool:
+        """True when a fresh entry answers."""
+        if key not in self.live:
+            return False
+        fetched_at, _, text = self.live[key]
+        if now - fetched_at < MODEL_TTL:
+            return True
+        del self.live[key]
+        if self.max_retired <= 0:
+            self.retired_evictions += 1
+        else:
+            if len(self.retired) >= self.max_retired:
+                victim = min(self.retired, key=lambda k: self.retired[k][0])
+                del self.retired[victim]
+                self.retired_evictions += 1
+            self.retired[key] = (self._tick(), text)
+        return False
+
+    def refresh(self, key: str, now: float, text: str) -> None:
+        if key in self.live:
+            seen = self.live[key][2]
+        elif key in self.retired:
+            seen = self.retired[key][1]
+        else:
+            seen = None
+        if seen == text:
+            self.retired.pop(key, None)
+            self.store_live(key, now, text)
+        else:
+            self.put(key, now, text)
+
+    def invalidate(self, key: str) -> None:
+        self.live.pop(key, None)
+        self.retired.pop(key, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    max_entries=st.integers(min_value=1, max_value=4),
+    max_retired=st.integers(min_value=0, max_value=3),
+    ops=model_ops,
+)
+def test_cache_matches_reference_model(max_entries, max_retired, ops):
+    cache = RobotsCache(
+        ttl_seconds=MODEL_TTL, max_entries=max_entries, max_retired=max_retired
+    )
+    model = CacheModel(max_entries, max_retired)
+    now = 0.0
+    for op, key, step, text in ops:
+        now += step
+        if op == "put":
+            cache.put(key, make_policy(), now, text=text)
+            model.put(key, now, text)
+        elif op == "refresh":
+            cache.refresh(key, text, now)
+            model.refresh(key, now, text)
+        elif op == "get":
+            answered = cache.get(key, now) is not None
+            assert answered == model.get(key, now)
+        elif op == "needs_refresh":
+            assert cache.needs_refresh(key, now) == (not model.get(key, now))
+        else:
+            cache.invalidate(key)
+            model.invalidate(key)
+        assert set(cache._entries) == set(model.live)
+        assert set(cache._retired) == set(model.retired)
+        assert cache.evictions == model.evictions
+        assert cache.retired_evictions == model.retired_evictions

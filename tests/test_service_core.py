@@ -9,6 +9,7 @@ import pytest
 from repro.deterrence.ratelimit import RateLimiter
 from repro.exceptions import ServiceError
 from repro.robots.cache import DEFAULT_TTL_SECONDS
+from repro.robots.policy import RobotsPolicy
 from repro.service import (
     DecisionService,
     PolicyProvider,
@@ -316,3 +317,67 @@ class TestDecisionService:
     def test_default_ttl_is_the_google_guideline(self):
         service = self.make()
         assert service.provider.cache.ttl_seconds == DEFAULT_TTL_SECONDS
+
+
+class TestServiceAtCapacity:
+    """A full cache evicts, and an evicted origin is resolved again:
+    verdicts never depend on which origins happen to be cached."""
+
+    CAPACITY = 8
+
+    @staticmethod
+    def robots_text(index: int) -> str:
+        return (
+            f"User-agent: Bot{index % 3}\nDisallow: /p{index % 5}\n\n"
+            f"User-agent: *\nAllow: /p{index % 4}/open\n"
+            f"Disallow: /p{index % 4}\n"
+        )
+
+    def test_cold_origins_past_capacity(self):
+        origins = [f"cold-{index}.example" for index in range(40)]
+        texts = {
+            origin: self.robots_text(index)
+            for index, origin in enumerate(origins)
+        }
+        service = DecisionService(
+            static_resolver(texts), max_origins=self.CAPACITY, clock=Clock()
+        )
+        provider = service.provider
+        agents = ["Bot0", "Bot1", "Bot2", "GPTBot"]
+        paths = [f"/p{index}" for index in range(5)] + ["/p1/open", "/x"]
+
+        async def check(origin: str, index: int) -> None:
+            fresh = RobotsPolicy.from_text(texts[origin])
+            agent = agents[index % len(agents)]
+            single = await service.can_fetch(origin, agent, paths[0])
+            assert single == {
+                "origin": origin,
+                "agent": agent,
+                "path": paths[0],
+                "allowed": fresh.can_fetch(agent, paths[0]),
+            }
+            batch = await service.can_fetch_many(origin, agent, paths)
+            assert batch == {
+                "origin": origin,
+                "agent": agent,
+                "paths": paths,
+                "allowed": [fresh.can_fetch(agent, path) for path in paths],
+            }
+
+        async def scenario() -> None:
+            for index, origin in enumerate(origins):
+                await check(origin, index)
+            for index, origin in enumerate(origins[:10]):
+                misses, hits = provider.stats.misses, provider.stats.hits
+                await check(origin, index + 1)
+                # The single is a miss (evicted), the batch then a hit.
+                assert provider.stats.misses == misses + 1
+                assert provider.stats.hits == hits + 1
+
+        run(scenario())
+        stats = service.stats()
+        assert stats["cache"]["entries"] == self.CAPACITY
+        assert stats["provider"]["misses"] == 50
+        assert stats["cache"]["evictions"] == (
+            stats["provider"]["misses"] - self.CAPACITY
+        )

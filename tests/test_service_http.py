@@ -13,6 +13,7 @@ from repro.exceptions import MissingDependencyError
 from repro.service import (
     DecisionHTTPServer,
     DecisionService,
+    ServiceRouter,
     create_app,
     run_uvicorn,
     static_resolver,
@@ -289,6 +290,54 @@ class TestHTTPServer:
 
         cold, warm = with_server(scenario)
         assert cold == warm
+
+    def test_internal_error_returns_id_not_message(self, capsys):
+        class FailingRouter(ServiceRouter):
+            async def respond(self, method, target, body):
+                if target.startswith("/boom"):
+                    raise RuntimeError("secret /etc/detail")
+                return await super().respond(method, target, body)
+
+        async def runner():
+            service = make_service()
+            server = DecisionHTTPServer(service, port=0)
+            server.router = FailingRouter(service)
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                # Pipelined: each failure must not stall or reorder the
+                # requests queued behind it on the same connection.
+                writer.write(
+                    b"GET /boom HTTP/1.1\r\nHost: t\r\n\r\n"
+                    b"GET /can_fetch?origin=s.example&agent=B&path=/public"
+                    b" HTTP/1.1\r\nHost: t\r\n\r\n"
+                    b"GET /boom HTTP/1.1\r\nHost: t\r\n\r\n"
+                    b"GET /stats HTTP/1.1\r\nHost: t\r\n\r\n"
+                )
+                await writer.drain()
+                answers = [await read_response(reader) for _ in range(4)]
+                writer.close()
+                return answers
+            finally:
+                await server.stop()
+
+        first, verdict, second, stats = asyncio.run(runner())
+        assert first == (500, {"error": "internal error", "id": 1})
+        assert verdict == (
+            200,
+            {
+                "origin": "s.example",
+                "agent": "B",
+                "path": "/public",
+                "allowed": True,
+            },
+        )
+        assert second == (500, {"error": "internal error", "id": 2})
+        assert stats[1]["internal_errors"] == 2
+        logged = capsys.readouterr().err
+        assert "internal error id=1" in logged
+        assert "internal error id=2" in logged
+        assert "secret /etc/detail" in logged  # traceback stays server-side
 
 
 class TestASGIApp:
