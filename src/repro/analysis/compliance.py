@@ -21,24 +21,12 @@ import enum
 from collections import defaultdict
 from collections.abc import Iterable
 
-from ..logs.columnar import RecordBatch
 from ..logs.schema import LogRecord
 from ..robots.corpus import V1_CRAWL_DELAY_SECONDS, V2_ALLOWED_ENDPOINT
-from .columnar import (
-    checked_robots_batch,
-    crawl_delay_sample_batch,
-    disallow_sample_batch,
-    endpoint_sample_batch,
-)
 from .stats import ProportionSample
 
 #: Prefix form of the v2 allowed endpoint (strip the trailing ``*``).
 _ENDPOINT_PREFIX = V2_ALLOWED_ENDPOINT.rstrip("*")
-
-# Each public metric accepts either a row iterable or a RecordBatch;
-# batches dispatch to the columnar twins in repro.analysis.columnar,
-# so grouped batch pipelines reuse row-typed callers like
-# checkfreq.skipped_check_rows unchanged.
 
 
 class Directive(enum.Enum):
@@ -76,8 +64,6 @@ def crawl_delay_sample(
     Deltas are computed within each tau tuple; single-access tuples
     contribute one compliant observation (C_tau = 1 per the paper).
     """
-    if isinstance(records, RecordBatch):
-        return crawl_delay_sample_batch(records, threshold_seconds)
     compliant = 0
     total = 0
     for group in tau_groups(records).values():
@@ -99,8 +85,6 @@ def _is_endpoint_access(record: LogRecord) -> bool:
 
 def endpoint_sample(records: Iterable[LogRecord]) -> ProportionSample:
     """Endpoint-access compliance counts for one bot's records."""
-    if isinstance(records, RecordBatch):
-        return endpoint_sample_batch(records)
     compliant = 0
     total = 0
     for record in records:
@@ -112,8 +96,6 @@ def endpoint_sample(records: Iterable[LogRecord]) -> ProportionSample:
 
 def disallow_sample(records: Iterable[LogRecord]) -> ProportionSample:
     """Disallow-all compliance counts for one bot's records."""
-    if isinstance(records, RecordBatch):
-        return disallow_sample_batch(records)
     compliant = 0
     total = 0
     for record in records:
@@ -139,6 +121,4 @@ def checked_robots(records: Iterable[LogRecord]) -> bool:
 
     Feeds the paper's Table 7 ("Checked robots.txt" per experiment).
     """
-    if isinstance(records, RecordBatch):
-        return checked_robots_batch(records)
     return any(record.is_robots_fetch for record in records)

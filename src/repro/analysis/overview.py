@@ -2,11 +2,14 @@
 
 These analyses run on the sessionized 40-day window and describe the
 shape of scraper traffic independent of the robots.txt experiments.
+The per-site traffic tallies (:func:`site_traffic`) fold the whole
+preprocessed corpus the same way.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..logs.schema import LogRecord
@@ -246,3 +249,53 @@ def phase_tally(
         legitimate=legitimate,
         spoofed=spoofed,
     )
+
+
+@dataclass(frozen=True)
+class SiteTraffic:
+    """Per-site traffic tallies over the preprocessed corpus.
+
+    The multi-site substrate for observatory-style batch reporting:
+    how much traffic, how many distinct known bots, how many robots.txt
+    probes and bytes each site saw.
+    """
+
+    site: str
+    visits: int
+    known_bot_visits: int
+    unique_bots: int
+    robots_fetches: int
+    bytes_sent: int
+
+
+def site_traffic(records: Iterable[LogRecord]) -> dict[str, SiteTraffic]:
+    """Fold records into per-site tallies, ordered by site name.
+
+    One pass; live state is a few counters and one bot-name set per
+    site, never a per-site record list.
+    """
+    visits: dict[str, int] = {}
+    bot_visits: dict[str, int] = {}
+    bots: dict[str, set[str]] = {}
+    robots: dict[str, int] = {}
+    sent: dict[str, int] = {}
+    for record in records:
+        site = record.sitename
+        visits[site] = visits.get(site, 0) + 1
+        sent[site] = sent.get(site, 0) + record.bytes_sent
+        if record.bot_name is not None:
+            bot_visits[site] = bot_visits.get(site, 0) + 1
+            bots.setdefault(site, set()).add(record.bot_name)
+        if record.is_robots_fetch:
+            robots[site] = robots.get(site, 0) + 1
+    return {
+        site: SiteTraffic(
+            site=site,
+            visits=visits[site],
+            known_bot_visits=bot_visits.get(site, 0),
+            unique_bots=len(bots.get(site, ())),
+            robots_fetches=robots.get(site, 0),
+            bytes_sent=sent[site],
+        )
+        for site in sorted(visits)
+    }

@@ -64,7 +64,7 @@ from .logs.io import (
     write_csv,
     write_jsonl,
 )
-from .pipeline.context import RecordSource
+from .pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES, RecordSource
 from .reporting.experiments import EXPERIMENTS, run_all, run_experiment
 from .reporting.study import StudyAnalysis
 from .robots.corpus import all_versions, render_version
@@ -119,19 +119,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         default=1,
         help="shard preprocessing across N worker processes",
     )
     analyze.add_argument(
         "--shard-by",
-        choices=("site", "ip"),
+        choices=SHARD_BY_CHOICES,
         default="site",
         help="hash-partition key for sharded analysis",
     )
     analyze.add_argument(
         "--executor",
-        choices=("process", "thread", "inline", "queue"),
+        choices=EXECUTOR_CHOICES,
         default="process",
         help=(
             "shard backend; 'queue' dispatches shards through a "
@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(0),
         default=None,
         help=(
             "local worker processes the queue executor spawns "
@@ -170,10 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     report = commands.add_parser("report", help="simulate + analyze + print")
     report.add_argument("--scale", type=float, default=0.05)
     report.add_argument("--seed", type=int, default=2025)
-    report.add_argument("--jobs", type=int, default=1)
-    report.add_argument(
-        "--shard-by", choices=("site", "ip"), default="site"
-    )
+    report.add_argument("--jobs", type=_at_least(1), default=1)
+    report.add_argument("--shard-by", choices=SHARD_BY_CHOICES, default="site")
     _add_experiments_option(report)
     _add_cache_options(report)
 
@@ -396,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument("--days", type=int, default=None)
     scenarios.add_argument("--seed", type=int, default=None)
-    scenarios.add_argument("--jobs", type=int, default=1)
+    scenarios.add_argument("--jobs", type=_at_least(1), default=1)
     scenarios.add_argument(
         "--executor",
-        choices=("process", "thread", "inline", "queue"),
+        choices=EXECUTOR_CHOICES,
         default="process",
         help="backend that runs the cells (queue requires --spool)",
     )
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(0),
         default=None,
         help="local queue workers to spawn (default: --jobs)",
     )
@@ -434,6 +432,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_options(scenarios)
     return parser
+
+
+def _at_least(minimum: int):
+    """An argparse ``type`` for integers >= ``minimum``, so a bad count
+    is a usage error (exit 2) before any work starts."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_experiments_option(subparser: argparse.ArgumentParser) -> None:

@@ -2,7 +2,7 @@
 
 The repo's headline guarantees are *behavioral*: cached == cold runs
 produce byte-identical artifacts, sharded == sequential runs agree at
-any ``--jobs``, and the columnar path matches the row path.  Property
+any ``--jobs``, and batch-fed sources match row-fed ones.  Property
 tests enforce those dynamically; this package enforces the *static*
 preconditions behind them:
 

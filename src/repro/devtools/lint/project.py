@@ -4,7 +4,7 @@ The linter works on a *project* — every ``.py`` file under the paths it
 was pointed at — because the invariants it checks are cross-module: a
 stage registered in ``repro.pipeline.stages`` reaches helpers defined
 in ``repro.logs.preprocess``, and a column string in
-``repro.analysis.columnar`` is validated against the registry declared
+``repro.pipeline.shard`` is validated against the registry declared
 in ``repro.logs.schema``.
 """
 

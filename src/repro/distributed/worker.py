@@ -9,12 +9,15 @@ same queue and any of them can die at any point without corrupting it.
 
 One task's lifecycle inside :func:`process_one`:
 
-1. claim the task (atomic rename), then immediately acquire its lease
-   and start the heartbeat.  The claim-to-lease window is microseconds
-   wide; the coordinator's reaper treats a claimed-but-unleased task
-   like an expired one and requeues it, which at worst re-runs a shard
-   whose content-keyed, atomically published result makes the
-   duplication harmless;
+1. claim the task (atomic rename); a task whose result is already
+   published is acked on the spot and never run again.  Otherwise
+   acquire its lease and start the heartbeat.  The claim-to-lease
+   window is microseconds wide; the coordinator's reaper treats a
+   claimed-but-unleased task like an expired one and requeues it, so
+   two claimants may both run the shard (harmless: the result is
+   content-keyed and published atomically).  A requeued copy claimed
+   after a result landed is only acked, so a restarted coordinator
+   resumes without re-running finished tasks;
 2. load and verify the checksummed payload, unpickle the
    ``(worker_fn, payload)`` pair, run it;
 3. publish the outcome — ``("ok", value)`` or ``("error", message)`` —
@@ -83,6 +86,9 @@ def process_one(
     task = spool.claim(worker_id)
     if task is None:
         return False
+    if spool.has_result(task.id):
+        spool.ack(task.id)  # published by an earlier claimant (step 1)
+        return True
     lease = Lease.acquire(spool, task.id, worker_id, ttl)
     heartbeat = Heartbeat(spool, lease, ttl)
     heartbeat.start()

@@ -12,9 +12,10 @@ columns, with the layout derived from
 Batches flow through the whole data path: the IO layer reads and
 writes them (:mod:`repro.logs.io`, plus the optional Parquet codec in
 :mod:`repro.logs.parquet`), :class:`~repro.pipeline.context.RecordSource`
-streams them, the shard partitioner gathers them by key column without
-materializing rows, and the hot reducers
-(:mod:`repro.analysis.columnar`) fold them with O(groups) live state.
+streams them, and the shard partitioner gathers them by key column
+without materializing rows.  The analysis reducers fold row objects:
+once a corpus is preprocessed into memory, packing it back into
+batches costs more time and memory than it saves.
 Row objects remain available everywhere as thin views —
 :meth:`RecordBatch.row` / :meth:`RecordBatch.rows` materialize
 :class:`~repro.logs.schema.LogRecord` objects on demand — and the

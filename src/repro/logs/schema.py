@@ -38,9 +38,8 @@ def from_iso8601(text: str) -> float:
 def is_robots_path(path: str) -> bool:
     """Whether a URI path targets ``/robots.txt`` (query string ignored).
 
-    The single predicate behind :attr:`LogRecord.is_robots_fetch` and
-    the columnar reducers, so row and batch paths can never disagree on
-    what counts as a robots.txt probe.
+    The predicate behind :attr:`LogRecord.is_robots_fetch`, usable on
+    a bare path column as well.
     """
     question = path.find("?")
     if question >= 0:

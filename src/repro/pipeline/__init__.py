@@ -70,9 +70,7 @@ from .shard import (
     Shard,
     chunk_evenly,
     partition_batches,
-    partition_records,
     restore_order,
-    restore_order_batches,
     run_sharded,
     shard_index,
 )
@@ -86,7 +84,6 @@ from .store import (
     StoreInfo,
     fingerprint_batch,
     fingerprint_batches,
-    fingerprint_records,
     fingerprint_stream,
 )
 
@@ -110,12 +107,9 @@ __all__ = [
     "chunk_evenly",
     "fingerprint_batch",
     "fingerprint_batches",
-    "fingerprint_records",
     "fingerprint_stream",
     "partition_batches",
-    "partition_records",
     "restore_order",
-    "restore_order_batches",
     "run_sharded",
     "shard_index",
     "stage",

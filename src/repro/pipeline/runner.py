@@ -46,7 +46,6 @@ from .store import (
     CACHE_SCHEMA,
     digest_parts,
     fingerprint_batch,
-    fingerprint_records,
     stable_token,
 )
 
@@ -269,9 +268,7 @@ class Pipeline:
         # Shards carrying an explicit fingerprint (non-record payloads
         # like scenario cells) key on it directly.  Batch-backed shards
         # fingerprint straight off their columns; a warm rerun never
-        # materializes a single row object for them.  Row-backed shards
-        # hash a transient batch (fingerprint_records) rather than
-        # caching one on the shard.
+        # materializes a single row object for them.
         keys = [
             digest_parts(
                 "shard",
@@ -280,9 +277,7 @@ class Pipeline:
                 environment,
                 shard.fingerprint
                 if shard.fingerprint is not None
-                else fingerprint_batch(shard.batch)
-                if shard.batch_backed
-                else fingerprint_records(shard.records),
+                else fingerprint_batch(shard.batch),
             )
             for shard in shards
         ]

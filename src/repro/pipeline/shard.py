@@ -43,24 +43,8 @@ _P = TypeVar("_P")
 _R = TypeVar("_R")
 
 
-def site_key(record: LogRecord) -> str:
-    """Shard key: the site the record belongs to (``shard_by="site"``)."""
-    return record.sitename
-
-
-def ip_key(record: LogRecord) -> str:
-    """Shard key: the visitor IP hash (``shard_by="ip"``)."""
-    return record.ip_hash
-
-
-SHARD_KEYS: dict[str, Callable[[LogRecord], str]] = {
-    "site": site_key,
-    "ip": ip_key,
-}
-
-#: Shard key name -> the batch column that carries it (the columnar
-#: twin of :data:`SHARD_KEYS`; both must assign identically for the
-#: row and batch partitioners to agree).
+#: Shard key name -> the batch column whose value is hashed to pick a
+#: record's shard.
 SHARD_KEY_COLUMNS: dict[str, str] = {
     "site": "sitename",
     "ip": "ip_hash",
@@ -73,30 +57,29 @@ def shard_index(key: str, shards: int) -> int:
 
 
 class Shard:
-    """One hash partition of a record stream, dual-backed.
+    """One hash partition of a record stream.
 
-    A shard produced by :func:`partition_records` carries the original
-    row objects (zero copies); one produced by :func:`partition_batches`
-    carries a :class:`RecordBatch` and never saw a row object.  Either
-    backing serves both views — :attr:`records` and :attr:`batch` are
-    lazy properties that cross-materialize on first access, so callers
-    ask for the shape they want and pay only when the backing differs.
+    A shard from :func:`partition_batches` is backed by a
+    :class:`RecordBatch`; :attr:`records` materializes its rows on
+    first access, and the per-shard artifact cache hashes the batch
+    columns directly.  Any other payload — e.g. scenario-matrix cells,
+    whose "records" are declarative specs rather than
+    :class:`LogRecord` rows — is passed as ``records`` together with
+    an explicit ``fingerprint``: a digest of the payload itself, so
+    each shard's cache entry keys on exactly what the worker will see.
 
     Attributes:
         index: this shard's position in the partition.
         positions: each record's position in the original stream,
             parallel to the records — the merge key that restores
             global order.
-        fingerprint: optional explicit content key for the per-shard
-            artifact cache.  Record shards derive their key from the
-            record content (see the runner); non-record payloads —
-            e.g. scenario-matrix cells, whose "records" are declarative
-            specs rather than :class:`LogRecord` rows — set this to a
-            digest of the payload itself so each shard's cache entry
-            keys on exactly what the worker will see.
+        batch: the column batch backing the shard, or ``None`` for a
+            payload shard.
+        fingerprint: the payload shard's content key (``None`` for a
+            batch-backed shard, whose key is its columns' digest).
     """
 
-    __slots__ = ("index", "positions", "fingerprint", "_records", "_batch")
+    __slots__ = ("index", "positions", "batch", "fingerprint", "_records")
 
     def __init__(
         self,
@@ -106,70 +89,30 @@ class Shard:
         batch: RecordBatch | None = None,
         fingerprint: str | None = None,
     ) -> None:
+        if batch is None and fingerprint is None:
+            raise PipelineError(
+                f"shard {index}: a shard without a batch needs an explicit "
+                "fingerprint"
+            )
         self.index = index
         self.positions = positions if positions is not None else []
+        self.batch = batch
         self.fingerprint = fingerprint
-        self._records = records
-        self._batch = batch
-        if records is None and batch is None:
-            self._records = []
+        self._records = [] if records is None and batch is None else records
 
     @property
     def records(self) -> list[LogRecord]:
         """The shard's rows, in stream order (materialized if needed)."""
         if self._records is None:
-            assert self._batch is not None
-            self._records = self._batch.to_records()
+            assert self.batch is not None
+            self._records = self.batch.to_records()
         return self._records
 
-    @property
-    def batch(self) -> RecordBatch:
-        """The shard's rows as a column batch (packed if needed)."""
-        if self._batch is None:
-            assert self._records is not None
-            self._batch = RecordBatch.from_records(self._records)
-        return self._batch
-
-    @property
-    def batch_backed(self) -> bool:
-        """True when this shard was partitioned columnar-wise (its
-        batch is the native backing, not a converted copy)."""
-        return self._records is None
-
     def __len__(self) -> int:
-        if self._batch is not None:
-            return len(self._batch)
-        assert self._records is not None
-        return len(self._records)
+        return len(self.batch if self.batch is not None else self.records)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backing = "batch" if self._records is None else "records"
-        return f"Shard(index={self.index}, records={len(self)}, {backing})"
-
-
-def partition_records(
-    stream: Iterable[LogRecord], shards: int, shard_by: str = "site"
-) -> list[Shard]:
-    """Partition a record stream into ``shards`` deterministic shards.
-
-    Consumes ``stream`` exactly once.  Records with the same shard key
-    always land in the same shard, and every shard preserves the
-    relative order of its records.
-    """
-    if shards < 1:
-        raise PipelineError(f"shard count must be >= 1, got {shards}")
-    try:
-        key = SHARD_KEYS[shard_by]
-    except KeyError:
-        raise PipelineError(
-            f"unknown shard key {shard_by!r}; choose from {sorted(SHARD_KEYS)}"
-        ) from None
-    parts = [Shard(index=i) for i in range(shards)]
-    for position, record in enumerate(stream):
-        shard = parts[shard_index(key(record), shards)]
-        shard.records.append(record)
-        shard.positions.append(position)
-    return parts
+        return f"Shard(index={self.index}, records={len(self)})"
 
 
 def partition_batches(
@@ -177,11 +120,12 @@ def partition_batches(
 ) -> list[Shard]:
     """Partition a batch stream into ``shards`` shards, columnar-wise.
 
-    Assigns rows to shards by hashing the key *column* and gathers them
-    with :meth:`RecordBatch.take` — no row objects are materialized at
-    any point.  The assignment function is identical to
-    :func:`partition_records`, so both partitioners produce the same
-    shard membership and positions for the same records.
+    Assigns rows to shards by hashing the key *column*
+    (:data:`SHARD_KEY_COLUMNS`) with :func:`shard_index` and gathers
+    them with :meth:`RecordBatch.take` — no row objects are
+    materialized at any point.  Consumes ``batches`` exactly once;
+    rows with the same shard key always land in the same shard, and
+    every shard preserves the relative order of its rows.
     """
     if shards < 1:
         raise PipelineError(f"shard count must be >= 1, got {shards}")
@@ -251,52 +195,6 @@ def restore_order(
             "records were dropped between partition and merge"
         )
     return merged  # type: ignore[return-value]
-
-
-def restore_order_batches(
-    outputs: Sequence[RecordBatch],
-    positions: Sequence[Sequence[int]],
-    total: int,
-) -> RecordBatch:
-    """Columnar twin of :func:`restore_order`: merge shard batches back
-    into one batch in original stream order, without row objects.
-
-    Enforces the same exactly-once position coverage.
-    """
-    order: list[int | None] = [None] * total
-    filled = 0
-    offsets: list[int] = []
-    running = 0
-    for shard, (batch, where) in enumerate(zip(outputs, positions)):
-        if len(batch) != len(where):
-            raise PipelineError(
-                f"shard {shard}: {len(batch)} output record(s) but "
-                f"{len(where)} position(s); shard workers must return "
-                "exactly one record per input"
-            )
-        offsets.append(running)
-        for row, position in enumerate(where):
-            if not 0 <= position < total:
-                raise PipelineError(
-                    f"shard {shard}: position {position} outside the "
-                    f"stream (total {total})"
-                )
-            if order[position] is not None:
-                raise PipelineError(
-                    f"shard {shard}: duplicate stream position {position}"
-                )
-            order[position] = running + row
-            filled += 1
-        running += len(batch)
-    if filled != total:
-        raise PipelineError(
-            f"merge covered {filled} of {total} stream position(s); "
-            "records were dropped between partition and merge"
-        )
-    combined = RecordBatch()
-    for batch in outputs:
-        combined.extend(batch)
-    return combined.take(order)  # type: ignore[arg-type]
 
 
 def chunk_evenly(items: Sequence[_P], parts: int) -> list[list[_P]]:

@@ -41,21 +41,21 @@ from functools import partial
 
 from ..analysis.aggregate import category_compliance
 from ..analysis.checkfreq import recheck_by_category, skipped_check_rows
-from ..analysis.columnar import (
-    SiteTraffic,
-    group_by_bot,
-    site_traffic_batches,
-)
 from ..analysis.compliance import Directive
-from ..analysis.overview import overview_tables, phase_tally
+from ..analysis.overview import (
+    SiteTraffic,
+    overview_tables,
+    phase_tally,
+    site_traffic,
+)
 from ..analysis.perbot import per_bot_results, spoofed_bot_results
 from ..analysis.spoofing import find_spoofed_bots, partition_records as spoof_partition
 from ..exceptions import PipelineError
-from ..logs.columnar import iter_batches
 from ..logs.preprocess import (
     Preprocessor,
     merge_preprocess_shards,
     preprocess_shard,
+    records_by_bot,
     scanner_ips_from_stats,
     scanner_stats,
 )
@@ -260,11 +260,8 @@ def _category_table(context: PipelineContext):
 
 
 def _skipped_checks(context: PipelineContext):
-    # Bot groups are gathered columnar-wise (one batch per bot, no row
-    # lists); the compliance metrics consume the batches directly via
-    # their RecordBatch dispatch.
     directive_by_bot = {
-        directive: group_by_bot(iter_batches(records))
+        directive: records_by_bot(records)
         for directive, records in context.artifact("directive_records").items()
     }
     return skipped_check_rows(directive_by_bot)
@@ -274,15 +271,8 @@ def _recheck(context: PipelineContext):
     return recheck_by_category(context.artifact("passive"))
 
 
-# -- site-level tallies ---------------------------------------------------
-#
-# SiteTraffic itself now lives in repro.analysis.columnar (imported
-# above and re-exported here for compatibility) next to the streaming
-# reducer that computes it.
-
-
 def _site_traffic(context: PipelineContext) -> dict[str, SiteTraffic]:
-    return site_traffic_batches(iter_batches(_records(context)))
+    return site_traffic(_records(context))
 
 
 # -- pipeline assembly ----------------------------------------------------
@@ -408,7 +398,9 @@ def build_study_pipeline(
                 "skipped_checks", _skipped_checks, deps=("directive_records",)
             ),
             FunctionStage("recheck", _recheck, deps=("passive",)),
-            FunctionStage("site_traffic", _site_traffic, deps=("preprocess",)),
+            FunctionStage(
+                "site_traffic", _site_traffic, deps=("preprocess",), token="2"
+            ),
         ]
     )
     return Pipeline(stages, context=context)

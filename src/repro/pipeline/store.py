@@ -136,11 +136,6 @@ def fingerprint_batch(batch: RecordBatch) -> str:
     return digest.hexdigest()
 
 
-def fingerprint_records(records: Iterable[object]) -> str:
-    """Content hash of a record sequence (row-object convenience)."""
-    return fingerprint_batch(RecordBatch.from_records(records))
-
-
 @dataclass(frozen=True)
 class SourceFingerprint:
     """Chunked identity of one record stream.

@@ -111,9 +111,9 @@ class StudyDataset:
         the pipeline's parity guarantees (stable crc32 assignment,
         per-shard order preservation, original positions retained).
         """
-        from ..pipeline.shard import partition_records
+        from ..pipeline.shard import partition_batches
 
-        yield from partition_records(self.records, shards, shard_by)
+        yield from partition_batches(self.batches(), shards, shard_by)
 
     def __len__(self) -> int:
         return len(self.records)

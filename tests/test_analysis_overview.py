@@ -5,7 +5,9 @@ from repro.analysis.overview import (
     category_session_counts,
     daily_sessions_by_category,
     dataset_overview,
+    SiteTraffic,
     overview_row,
+    site_traffic,
     top_bots,
 )
 from repro.logs.schema import LogRecord
@@ -24,13 +26,14 @@ def record(
     nbytes: int = 1000,
     path: str = "/a",
     asn: int = 1,
+    site: str = "s.example",
 ) -> LogRecord:
     return LogRecord(
         useragent=ua,
         timestamp=timestamp,
         ip_hash=ip,
         asn=asn,
-        sitename="s.example",
+        sitename=site,
         uri_path=path,
         status_code=200,
         bytes_sent=nbytes,
@@ -162,3 +165,42 @@ class TestBytesCdf:
         series = bytes_cdf_by_category(records)
         values = [v for _, v in series[BotCategory.AI_DATA_SCRAPER]]
         assert values == sorted(values)
+
+
+class TestSiteTraffic:
+    def test_hand_computed_tallies(self):
+        def on(site, path, nbytes, bot=None):
+            return record(0.0, bot=bot, path=path, nbytes=nbytes, site=site)
+
+        records = [
+            on("b.example", "/", 700),  # a site no bot ever visits
+            on("a.example", "/robots.txt", 100, bot="GPTBot"),
+            on("a.example", "/page", 200, bot="GPTBot"),
+            on("a.example", "/robots.txt?x=1", 300, bot="ClaudeBot"),
+            on("a.example", "/x", 400, bot="ClaudeBot"),
+            on("a.example", "/robots.txt", 500),  # unknown visitor
+            on("a.example", "/", 600),
+            on("b.example", "/robots.txt.bak", 800),  # not a probe
+        ]
+        assert site_traffic(records) == {
+            "a.example": SiteTraffic(
+                site="a.example",
+                visits=6,
+                known_bot_visits=4,
+                unique_bots=2,
+                robots_fetches=3,
+                bytes_sent=2100,
+            ),
+            "b.example": SiteTraffic(
+                site="b.example",
+                visits=2,
+                known_bot_visits=0,
+                unique_bots=0,
+                robots_fetches=0,
+                bytes_sent=1500,
+            ),
+        }
+        assert list(site_traffic(records)) == ["a.example", "b.example"]
+
+    def test_empty(self):
+        assert site_traffic([]) == {}

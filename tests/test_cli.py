@@ -117,6 +117,62 @@ class TestExperimentIds:
         assert args.experiments == ["T5", "F10"]
 
 
+class TestCountAndChoiceValidation:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "LOG", "--jobs", "0"], "--jobs: must be >= 1, got 0"),
+            (["report", "--jobs", "0"], "--jobs: must be >= 1, got 0"),
+            (["scenarios", "run", "--jobs", "-3"], "--jobs: must be >= 1, got -3"),
+            (
+                ["analyze", "LOG", "--executor", "queue", "--spool", "D"]
+                + ["--workers", "-1"],
+                "--workers: must be >= 0, got -1",
+            ),
+            (["scenarios", "run", "--workers", "-1"], "--workers: must be >= 0"),
+            (["analyze", "LOG", "--jobs", "two"], "invalid int value: 'two'"),
+        ],
+    )
+    def test_bad_count_exits_2_with_usage(self, tmp_path, capsys, argv, message):
+        # The log does not exist: only argparse may reject these.
+        argv = [str(tmp_path / "missing.jsonl") if a == "LOG" else a for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro-study")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_zero_workers_is_accepted(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["analyze", "log.jsonl", "--jobs", "2", "--workers", "0"]
+        )
+        assert (args.jobs, args.workers) == (2, 0)
+
+    def test_choices_come_from_the_pipeline_config(self):
+        from repro.cli import build_parser
+        from repro.pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES
+        from repro.pipeline.shard import SHARD_KEY_COLUMNS
+
+        assert SHARD_BY_CHOICES == tuple(SHARD_KEY_COLUMNS)
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        options = {
+            (command, action.dest): tuple(action.choices)
+            for command, parser in subparsers.items()
+            for action in parser._actions
+            if action.dest in ("shard_by", "executor")
+        }
+        assert options == {
+            ("analyze", "shard_by"): SHARD_BY_CHOICES,
+            ("analyze", "executor"): EXECUTOR_CHOICES,
+            ("report", "shard_by"): SHARD_BY_CHOICES,
+            ("scenarios", "executor"): EXECUTOR_CHOICES,
+        }
+
+
 class TestReportCommand:
     def test_report_selected_experiment(self, capsys):
         assert main(["report", "--scale", "0.005", "--experiments", "T2"]) == 0

@@ -15,6 +15,7 @@ a smaller study.
 
 import pickle
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.bots.profiles import build_profiles
 from repro.exceptions import PipelineError
-from repro.logs.columnar import RecordBatch, iter_batches
+from repro.logs.columnar import iter_batches
 from repro.logs.io import (
     convert_log,
     read_batches,
@@ -37,9 +38,7 @@ from repro.pipeline import (
     RecordSource,
     build_study_pipeline,
     partition_batches,
-    partition_records,
     restore_order,
-    restore_order_batches,
 )
 
 from repro.simulation import quick_scenario
@@ -180,16 +179,19 @@ def test_batch_source_matches_row_source_sharded(records):
     st.sampled_from(["site", "ip"]),
 )
 def test_batch_partitioner_matches_row_partitioner(records, shards, shard_by):
-    by_rows = partition_records(_copy(records), shards, shard_by=shard_by)
+    # Row oracle: crc32 of each record's key, in stream order.
+    attribute = {"site": "sitename", "ip": "ip_hash"}[shard_by]
+    expected = [[] for _ in range(shards)]
+    for position, record in enumerate(records):
+        key = getattr(record, attribute).encode("utf-8")
+        expected[zlib.crc32(key) % shards].append(position)
     by_batches = partition_batches(
         iter_batches(iter(_copy(records)), 7), shards, shard_by=shard_by
     )
-    assert len(by_rows) == len(by_batches)
-    for row_shard, batch_shard in zip(by_rows, by_batches):
-        assert batch_shard.positions == row_shard.positions
-        assert batch_shard.batch_backed
-        assert [r.to_dict() for r in batch_shard.records] == [
-            r.to_dict() for r in row_shard.records
+    assert [shard.positions for shard in by_batches] == expected
+    for shard in by_batches:
+        assert [r.to_dict() for r in shard.records] == [
+            records[position].to_dict() for position in shard.positions
         ]
 
 
@@ -328,25 +330,3 @@ class TestRestoreOrderStrictness:
         records = _four_records()
         with pytest.raises(PipelineError, match="exactly one record per input"):
             restore_order([[records[0], records[1]]], [[0]], 4)
-
-    def test_batch_twin_happy_path(self):
-        records = _four_records()
-        outputs = [
-            RecordBatch.from_records([records[1], records[3]]),
-            RecordBatch.from_records([records[0], records[2]]),
-        ]
-        merged = restore_order_batches(outputs, [[1, 3], [0, 2]], 4)
-        assert merged.to_records() == records
-
-    def test_batch_twin_rejects_drops_and_duplicates(self):
-        records = _four_records()
-        one = RecordBatch.from_records([records[0]])
-        with pytest.raises(PipelineError, match="covered 1 of 4"):
-            restore_order_batches([one], [[0]], 4)
-        two = RecordBatch.from_records([records[0], records[0]])
-        with pytest.raises(PipelineError, match="duplicate stream position"):
-            restore_order_batches([two], [[0, 0]], 4)
-        with pytest.raises(PipelineError, match="outside the"):
-            restore_order_batches([one], [[7]], 4)
-        with pytest.raises(PipelineError, match="exactly one record per input"):
-            restore_order_batches([two], [[0]], 4)

@@ -14,6 +14,7 @@ Fault injection — SIGKILLed workers, restarted coordinators — lives in
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import pytest
@@ -230,6 +231,19 @@ class TestWorker:
         )
         assert (tmp_path / "tasks" / "done" / f"{task_id}.json").exists()
         assert Lease.read(spool, task_id) is None  # released
+
+    def test_requeued_task_with_a_result_is_acked_not_rerun(self, tmp_path):
+        # A reaper can requeue a claimed task before its lease lands;
+        # the first worker still publishes.  The stale pending entry
+        # must not run the task again and rewrite the result.
+        spool = FilesystemSpool(tmp_path)
+        task_id = self._enqueue(spool, doubler, [1])
+        assert spool.claim("w1").id == task_id
+        assert spool.requeue(task_id)
+        spool.write_result(task_id, pickle.dumps(("ok", "first run")))
+        assert process_one(spool, "w2", ttl=5.0)
+        assert decode_outcome(spool.read_result(task_id)) == ("ok", "first run")
+        assert (tmp_path / "tasks" / "done" / f"{task_id}.json").exists()
 
     def test_process_one_idle_returns_false(self, tmp_path):
         assert not process_one(FilesystemSpool(tmp_path), "w1")

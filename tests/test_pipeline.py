@@ -5,14 +5,16 @@ import zlib
 import pytest
 
 from repro.exceptions import PipelineError
+from repro.logs.columnar import iter_batches
 from repro.logs.schema import LogRecord
 from repro.pipeline import (
     FunctionStage,
     Pipeline,
     PipelineConfig,
     RecordSource,
+    Shard,
     chunk_evenly,
-    partition_records,
+    partition_batches,
     run_sharded,
     shard_index,
 )
@@ -30,6 +32,11 @@ def make_record(site="a.example", ip="ip-1", when=0.0, path="/"):
         status_code=200,
         bytes_sent=100,
     )
+
+
+def partition(records, shards, shard_by="site"):
+    """Partition a record list, in odd-sized batches."""
+    return partition_batches(iter_batches(records, 7), shards, shard_by)
 
 
 def counting_stage(name, calls, deps=(), value=None):
@@ -188,7 +195,7 @@ class TestSharding:
             make_record(site=f"s{i % 5}.example", when=float(i))
             for i in range(50)
         ]
-        shards = partition_records(records, 3)
+        shards = partition(records, 3)
         assert sum(len(shard) for shard in shards) == 50
         seen = sorted(
             position for shard in shards for position in shard.positions
@@ -197,7 +204,7 @@ class TestSharding:
 
     def test_same_site_lands_in_same_shard(self):
         records = [make_record(site="x.example") for _ in range(10)]
-        shards = partition_records(records, 4)
+        shards = partition(records, 4)
         nonempty = [shard for shard in shards if shard.records]
         assert len(nonempty) == 1
 
@@ -208,7 +215,7 @@ class TestSharding:
         records = [make_record(site="x.example", when=float(i)) for i in range(9)]
         (shard,) = [
             shard
-            for shard in partition_records(records, 2)
+            for shard in partition(records, 2)
             if shard.records
         ]
         assert [record.timestamp for record in shard.records] == [
@@ -217,13 +224,18 @@ class TestSharding:
 
     def test_shard_by_ip(self):
         records = [make_record(ip=f"ip-{i % 3}") for i in range(12)]
-        shards = partition_records(records, 3, shard_by="ip")
+        shards = partition(records, 3, shard_by="ip")
         for shard in shards:
             assert len({record.ip_hash for record in shard.records}) <= 3
 
     def test_unknown_shard_key_rejected(self):
         with pytest.raises(PipelineError):
-            partition_records([], 2, shard_by="nope")
+            partition([], 2, shard_by="nope")
+
+    def test_payload_shard_needs_a_fingerprint(self):
+        with pytest.raises(PipelineError, match="explicit fingerprint"):
+            Shard(index=0, records=[make_record()])
+        assert Shard(index=0, records=["cell"], fingerprint="f").records == ["cell"]
 
     def test_chunk_evenly_preserves_order(self):
         chunks = chunk_evenly(list(range(10)), 3)

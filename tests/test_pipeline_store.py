@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.bots.profiles import build_profiles
 from repro.exceptions import PipelineError
+from repro.logs.columnar import RecordBatch
 from repro.logs.schema import LogRecord
 from repro.pipeline import (
     ArtifactStore,
@@ -31,7 +32,7 @@ from repro.pipeline import (
     fingerprint_stream,
 )
 from repro.pipeline.shard import shard_index
-from repro.pipeline.store import fingerprint_records, stable_token
+from repro.pipeline.store import fingerprint_batch, stable_token
 from repro.simulation import quick_scenario
 
 SCENARIO = quick_scenario(scale=0.1, seed=11)
@@ -185,12 +186,12 @@ class TestFingerprints:
 
     def test_fingerprint_ignores_enrichment_columns(self):
         record = _record((SITES[0], USER_AGENTS[0], "ip-1", 15169, "/", 5))
-        before = fingerprint_records([record])
+        before = fingerprint_batch(RecordBatch.from_records([record]))
         record.bot_name = "GPTBot"
         record.asn_name = "GOOGLE"
-        assert fingerprint_records([record]) == before
+        assert fingerprint_batch(RecordBatch.from_records([record])) == before
         record.uri_path = "/changed"
-        assert fingerprint_records([record]) != before
+        assert fingerprint_batch(RecordBatch.from_records([record])) != before
 
     def test_stable_token_rejects_address_reprs(self):
         class Opaque:
