@@ -53,18 +53,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .exceptions import ConfigError, MissingDependencyError
-from .logs.io import (
-    LOG_FORMATS,
-    convert_log,
-    read_batches,
-    read_clf,
-    read_csv,
-    read_jsonl,
-    write_csv,
-    write_jsonl,
-)
-from .pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES, RecordSource
+from .exceptions import ConfigError, LogSchemaError, MissingDependencyError
+from .logs.io import LOG_FORMATS, convert_log, iter_log_records, write_log
+from .pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES
 from .reporting.experiments import EXPERIMENTS, run_all, run_experiment
 from .reporting.study import StudyAnalysis
 from .robots.corpus import all_versions, render_version
@@ -487,13 +478,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with_noise=not args.no_noise,
         with_spoofing=not args.no_spoofing,
     )
-    if args.format == "parquet":
-        from .logs.parquet import write_parquet_records as writer
-    elif args.format == "csv":
-        writer = write_csv
-    else:
-        writer = write_jsonl
-    count = writer(dataset.records, args.output)
+    count = write_log(dataset.records, args.output, args.format)
     print(
         f"wrote {count:,} records from {dataset.n_bot_agents} bots "
         f"(+{dataset.n_spoof_agents} spoofed) to {args.output}"
@@ -514,21 +499,10 @@ def _print_experiments(analysis: StudyAnalysis, wanted: list[str] | None) -> int
 
 
 def _record_reader(args: argparse.Namespace):
-    """A replayable pipeline source for the chosen log format.
-
-    Parquet logs become batch-backed sources — the analysis pipeline
-    partitions and fingerprints them columnar-wise, straight off the
-    row groups; text formats stream row objects as before.
-    """
-    if args.format == "parquet":
-        return RecordSource.of_batches(
-            lambda: read_batches(args.log, format="parquet")
-        )
-    if args.format == "csv":
-        return lambda: read_csv(args.log)
-    if args.format == "clf":
-        return lambda: read_clf(args.log, sitename=args.site, asn=args.asn)
-    return lambda: read_jsonl(args.log)
+    """A row source over ``args.log`` in ``args.format``, re-read per pass."""
+    return lambda: iter_log_records(
+        args.log, args.format, sitename=args.site, asn=args.asn
+    )
 
 
 def _print_cache_stats(analysis: StudyAnalysis, args: argparse.Namespace) -> None:
@@ -854,6 +828,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MissingDependencyError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (LogSchemaError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

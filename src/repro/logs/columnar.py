@@ -9,15 +9,16 @@ columns (8 raw bytes per value, no boxing) and plain lists for string
 columns, with the layout derived from
 :data:`repro.logs.schema.COLUMN_SPECS`.
 
-Batches flow through the whole data path: the IO layer reads and
-writes them (:mod:`repro.logs.io`, plus the optional Parquet codec in
-:mod:`repro.logs.parquet`), :class:`~repro.pipeline.context.RecordSource`
-streams them, and the shard partitioner gathers them by key column
-without materializing rows.  The analysis reducers fold row objects:
-once a corpus is preprocessed into memory, packing it back into
-batches costs more time and memory than it saves.
+Log IO moves row streams (:mod:`repro.logs.io`); batches appear only
+where the pipeline works column-wise.  The source fingerprint
+(:func:`repro.pipeline.store.fingerprint_stream`) packs rows into
+fixed-size batches and hashes each raw column in one call, and the
+shard partitioner (:func:`repro.pipeline.shard.partition_batches`)
+gathers batches by key column into batch-backed shards.  The Parquet
+codec (:mod:`repro.logs.parquet`) uses them internally as row groups.
+The analysis reducers fold row objects.
 Row objects remain available everywhere as thin views —
-:meth:`RecordBatch.row` / :meth:`RecordBatch.rows` materialize
+:meth:`RecordBatch.row` / :meth:`RecordBatch.rows` build
 :class:`~repro.logs.schema.LogRecord` objects on demand — and the
 columnar == row parity is property-tested byte-for-byte.
 
@@ -57,7 +58,7 @@ class RecordBatch:
     One container per schema column, all the same length, keyed by the
     column's *serialized* name (``"bytes"``, not ``bytes_sent``).  The
     ``bot_category`` column holds Dark Visitors labels (strings), not
-    enum members — enums are materialized only on the row view, keeping
+    enum members — enums are built only on the row view, keeping
     the column a flat, picklable, Parquet-compatible string column.
     """
 
@@ -193,7 +194,7 @@ class RecordBatch:
         )
 
     def rows(self) -> Iterator[LogRecord]:
-        """Lazily materialize every row (one live object at a time)."""
+        """Lazily build every row (one live object at a time)."""
         for index in range(len(self)):
             yield self.row(index)
 
@@ -201,7 +202,7 @@ class RecordBatch:
         return self.rows()
 
     def to_records(self) -> list[LogRecord]:
-        """The columnar -> row converter (materializes everything)."""
+        """The columnar -> row converter (builds every row at once)."""
         return list(self.rows())
 
     def __eq__(self, other: object) -> bool:
@@ -239,32 +240,3 @@ def rows_of(batches: Iterable[RecordBatch]) -> Iterator[LogRecord]:
     for batch in batches:
         yield from batch.rows()
 
-
-def rechunk(
-    batches: Iterable[RecordBatch],
-    batch_records: int = DEFAULT_BATCH_RECORDS,
-) -> Iterator[RecordBatch]:
-    """Re-slice a batch stream to exactly ``batch_records`` rows per
-    batch (last one partial) without materializing rows.
-
-    The fingerprinting layer uses this so chunk boundaries — and hence
-    cache keys — are independent of how the source happened to batch
-    its records.
-    """
-    if batch_records < 1:
-        raise LogSchemaError(
-            f"batch_records must be >= 1, got {batch_records}"
-        )
-    pending = RecordBatch()
-    for batch in batches:
-        if not len(batch):
-            continue
-        if not len(pending) and len(batch) == batch_records:
-            yield batch  # already exactly sized: pass through untouched
-            continue
-        pending.extend(batch)
-        while len(pending) >= batch_records:
-            yield pending.slice(0, batch_records)
-            pending = pending.slice(batch_records, len(pending))
-    if len(pending):
-        yield pending

@@ -6,28 +6,34 @@ pipeline ingest real web-server logs, which is what a downstream user
 adopting this library would point it at; Parquet (via the ``[parquet]``
 extra) is the columnar at-rest format for multi-GB corpora.
 
-Every format has two granularities: row streams (``read_*`` /
-``write_*``) and column-batch streams (``read_batches`` /
-``write_batches``), which move :class:`~repro.logs.columnar.RecordBatch`
-objects end to end and are what the pipeline's batch path consumes.
+All log IO moves row streams of :class:`~repro.logs.schema.LogRecord`.
+Each format has a row reader (``read_*``) and a row writer
+(``write_*``); :func:`iter_log_records` and :func:`write_log` dispatch
+on a format name, and :func:`convert_log` chains the two.  Column
+batches are not an IO unit: they exist only where the pipeline hashes
+(source fingerprints) or gathers (shard partitioning) by column.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
 from ..exceptions import LogSchemaError
-from .columnar import DEFAULT_BATCH_RECORDS, RecordBatch, iter_batches
 from .schema import CSV_COLUMNS, LogRecord
 
-#: Formats understood by the generic batch/record dispatchers (and the
-#: CLI's ``--format`` / ``convert`` surfaces).
+#: Formats understood by :func:`iter_log_records` and :func:`write_log`
+#: (and the CLI's ``--format`` / ``convert`` surfaces).
 LOG_FORMATS: tuple[str, ...] = ("jsonl", "csv", "clf", "parquet")
+
+#: What :meth:`LogRecord.from_dict` raises on a row with a missing,
+#: null or mistyped field (``json.JSONDecodeError`` is a ValueError).
+_BAD_ROW = (KeyError, ValueError, TypeError, AttributeError)
 
 # -- JSONL -------------------------------------------------------------
 
@@ -47,7 +53,7 @@ def read_jsonl(path: str | Path) -> Iterator[LogRecord]:
     """Stream records from a JSONL file.
 
     Raises :class:`~repro.exceptions.LogSchemaError` with the offending
-    line number when a row is malformed.
+    line number when a row is malformed or is not a JSON object.
     """
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -55,8 +61,13 @@ def read_jsonl(path: str | Path) -> Iterator[LogRecord]:
             if not line:
                 continue
             try:
-                yield LogRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise LogSchemaError(
+                        f"expected a JSON object, got {type(row).__name__}"
+                    )
+                yield LogRecord.from_dict(row)
+            except (LogSchemaError, *_BAD_ROW) as exc:
                 raise LogSchemaError(f"{path}:{number}: bad record: {exc}") from exc
 
 
@@ -83,7 +94,7 @@ def read_csv(path: str | Path) -> Iterator[LogRecord]:
         for number, row in enumerate(reader, start=2):
             try:
                 yield LogRecord.from_dict(row)
-            except (KeyError, ValueError) as exc:
+            except _BAD_ROW as exc:
                 raise LogSchemaError(f"{path}:{number}: bad record: {exc}") from exc
 
 
@@ -153,6 +164,30 @@ def read_clf(
                 continue
 
 
+def write_clf(records: Iterable[LogRecord], path: str | Path) -> int:
+    """Write records as Apache combined-log lines; returns the count."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(render_clf_line(record))
+            handle.write("\n")
+            count += 1
+    return count
+
+
+# -- format dispatch ------------------------------------------------------
+#
+# Readers and writers are looked up as module globals at call time, so
+# anything that rebinds ``read_jsonl`` / ``write_jsonl`` on this module
+# (a profiler, a test double) sees every dispatched call.
+
+
+def _unknown_format(format: str) -> LogSchemaError:
+    return LogSchemaError(
+        f"unknown log format {format!r}; choose from {LOG_FORMATS}"
+    )
+
+
 def iter_log_records(
     path: str | Path,
     format: str = "jsonl",
@@ -160,7 +195,11 @@ def iter_log_records(
     asn: int = 0,
     hash_ip=None,
 ) -> Iterator[LogRecord]:
-    """Stream rows from any supported log format."""
+    """Stream rows from any supported log format.
+
+    ``sitename``, ``asn`` and ``hash_ip`` apply to CLF only (the other
+    formats carry those columns themselves).
+    """
     if format == "jsonl":
         return read_jsonl(path)
     if format == "csv":
@@ -171,92 +210,24 @@ def iter_log_records(
         from .parquet import read_parquet
 
         return read_parquet(path)
-    raise LogSchemaError(
-        f"unknown log format {format!r}; choose from {LOG_FORMATS}"
-    )
+    raise _unknown_format(format)
 
 
-def read_batches(
-    path: str | Path,
-    format: str = "jsonl",
-    batch_records: int = DEFAULT_BATCH_RECORDS,
-    sitename: str = "",
-    asn: int = 0,
-    hash_ip=None,
-) -> Iterator[RecordBatch]:
-    """Stream any supported log format as column batches.
-
-    Parquet batches come straight off row groups (no row objects at
-    all); text formats parse row-by-row and pack ``batch_records`` rows
-    per batch, so at most one batch plus one transient row is live.
-    """
-    if format == "parquet":
-        from .parquet import read_parquet_batches
-
-        return read_parquet_batches(path, batch_records)
-    return iter_batches(
-        iter_log_records(
-            path, format=format, sitename=sitename, asn=asn, hash_ip=hash_ip
-        ),
-        batch_records,
-    )
-
-
-def write_batches(
-    batches: Iterable[RecordBatch], path: str | Path, format: str = "jsonl"
+def write_log(
+    records: Iterable[LogRecord], path: str | Path, format: str = "jsonl"
 ) -> int:
-    """Write a batch stream in any supported format; returns the count.
-
-    Text formats serialize straight off the columns (JSONL/CSV) or via
-    the thin row view (CLF); Parquet delegates to the columnar codec.
-    """
+    """Write a row stream in any supported format; returns the count."""
+    if format == "jsonl":
+        return write_jsonl(records, path)
+    if format == "csv":
+        return write_csv(records, path)
+    if format == "clf":
+        return write_clf(records, path)
     if format == "parquet":
         from .parquet import write_parquet
 
-        return write_parquet(batches, path)
-    if format == "jsonl":
-        count = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for batch in batches:
-                for row in _batch_dict_rows(batch):
-                    handle.write(json.dumps(row, separators=(",", ":")))
-                    handle.write("\n")
-                    count += 1
-        return count
-    if format == "csv":
-        count = 0
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for batch in batches:
-                for row in _batch_dict_rows(batch):
-                    writer.writerow(row)
-                    count += 1
-        return count
-    if format == "clf":
-        count = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for batch in batches:
-                for record in batch.rows():
-                    handle.write(render_clf_line(record))
-                    handle.write("\n")
-                    count += 1
-        return count
-    raise LogSchemaError(
-        f"unknown log format {format!r}; choose from {LOG_FORMATS}"
-    )
-
-
-def _batch_dict_rows(batch: RecordBatch) -> Iterator[dict]:
-    """Serializable dicts for each batch row, straight off the columns
-    (same keys/values as :meth:`LogRecord.to_dict`, no row objects)."""
-    from .schema import to_iso8601
-
-    columns = {name: batch.column(name) for name in CSV_COLUMNS}
-    for index in range(len(batch)):
-        row = {name: columns[name][index] for name in CSV_COLUMNS}
-        row["timestamp"] = to_iso8601(row["timestamp"])
-        yield row
+        return write_parquet(records, path)
+    raise _unknown_format(format)
 
 
 def convert_log(
@@ -264,28 +235,40 @@ def convert_log(
     target: str | Path,
     source_format: str = "jsonl",
     target_format: str = "parquet",
-    batch_records: int = DEFAULT_BATCH_RECORDS,
     sitename: str = "",
     asn: int = 0,
 ) -> int:
     """Stream-convert a log between formats; returns the record count.
 
-    Memory stays bounded at one batch regardless of corpus size, and
-    because values are normalized identically on every read path, the
-    converted corpus carries the same content fingerprint as the
-    original (format-independent cache keys).
+    Memory stays bounded at one row (one row group for Parquet)
+    regardless of corpus size, and because values are normalized
+    identically on every read path, the converted corpus carries the
+    same content fingerprint as the original (format-independent cache
+    keys).
+
+    The output is written to a temporary file beside ``target`` and
+    moved into place only once the whole source has converted, so a
+    failed conversion leaves any existing ``target`` untouched and
+    ``source == target`` converts in place.
     """
-    return write_batches(
-        read_batches(
-            source,
-            format=source_format,
-            batch_records=batch_records,
-            sitename=sitename,
-            asn=asn,
-        ),
-        target,
-        format=target_format,
-    )
+    target = Path(target)
+    temp_name = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        count = write_log(
+            iter_log_records(
+                source, format=source_format, sitename=sitename, asn=asn
+            ),
+            temp_name,
+            format=target_format,
+        )
+        os.replace(temp_name, target)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+    return count
 
 
 def render_clf_line(record: LogRecord) -> str:

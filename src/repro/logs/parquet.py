@@ -1,10 +1,11 @@
-"""Optional Parquet codec for columnar record batches.
+"""Optional Parquet codec: a row reader and a row writer.
 
-Parquet is the natural on-disk twin of :class:`RecordBatch`: both are
-struct-of-arrays, so batches map straight onto row groups with no row
-objects in between.  The codec follows the append/merge idiom of
-production scrape pipelines — batches stream into one writer, each
-batch becoming a row group, snappy-compressed by default.
+Like every other format in :mod:`repro.logs.io`, Parquet is read and
+written as a stream of :class:`~repro.logs.schema.LogRecord` rows.
+Internally the codec packs rows into :class:`RecordBatch` column
+batches, because Parquet is struct-of-arrays too: each batch becomes
+one row group (snappy-compressed by default), and the reader unpacks
+one row group at a time, so memory stays bounded at one batch.
 
 ``pyarrow`` is deliberately an *extra* (``pip install
 repro-robots-study[parquet]``): the rest of the package, including the
@@ -19,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from ..exceptions import MissingDependencyError
-from .columnar import DEFAULT_BATCH_RECORDS, RecordBatch, rows_of
+from .columnar import DEFAULT_BATCH_RECORDS, RecordBatch, iter_batches
 from .schema import COLUMN_SPECS, LogRecord
 
 try:  # pragma: no cover - exercised only on the pyarrow CI leg
@@ -66,14 +67,16 @@ def _arrow_schema():
 
 
 def write_parquet(
-    batches: Iterable[RecordBatch],
+    records: Iterable[LogRecord],
     path: str | Path,
+    batch_records: int = DEFAULT_BATCH_RECORDS,
     compression: str = "snappy",
 ) -> int:
-    """Stream batches into one Parquet file; returns the record count.
+    """Write a row stream as one Parquet file; returns the record count.
 
-    Each batch becomes one row group, so a reader can stream the file
-    back at the same granularity without loading it whole.
+    Every ``batch_records`` rows are packed into one column batch and
+    written as one row group, so a reader can stream the file back
+    without loading it whole.
     """
     require_pyarrow()
     schema = _arrow_schema()
@@ -81,9 +84,7 @@ def write_parquet(
     with _pq.ParquetWriter(
         str(path), schema, compression=compression
     ) as writer:
-        for batch in batches:
-            if not len(batch):
-                continue
+        for batch in iter_batches(records, batch_records):
             table = _pa.table(
                 {
                     spec.name: _pa.array(
@@ -99,24 +100,10 @@ def write_parquet(
     return count
 
 
-def write_parquet_records(
-    records: Iterable[LogRecord],
-    path: str | Path,
-    batch_records: int = DEFAULT_BATCH_RECORDS,
-    compression: str = "snappy",
-) -> int:
-    """Row-object convenience wrapper over :func:`write_parquet`."""
-    from .columnar import iter_batches
-
-    return write_parquet(
-        iter_batches(records, batch_records), path, compression=compression
-    )
-
-
-def read_parquet_batches(
+def read_parquet(
     path: str | Path, batch_records: int = DEFAULT_BATCH_RECORDS
-) -> Iterator[RecordBatch]:
-    """Stream a Parquet file back as column batches.
+) -> Iterator[LogRecord]:
+    """Stream rows from a Parquet file, one ``batch_records`` batch live.
 
     Values are normalized to the row schema's conventions — empty
     strings in nullable columns become ``None``, exactly as
@@ -137,13 +124,6 @@ def read_parquet_batches(
                     columns[name] = [
                         value or None for value in columns[name]
                     ]
-            yield RecordBatch.from_columns(columns)
+            yield from RecordBatch.from_columns(columns).rows()
     finally:
         parquet_file.close()
-
-
-def read_parquet(
-    path: str | Path, batch_records: int = DEFAULT_BATCH_RECORDS
-) -> Iterator[LogRecord]:
-    """Row-object view over :func:`read_parquet_batches`."""
-    return rows_of(read_parquet_batches(path, batch_records))

@@ -11,14 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
 
 from ..uaparse.categories import BotCategory
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from collections.abc import Iterable
-
-    from .columnar import RecordBatch
 
 
 def to_iso8601(epoch: float) -> str:
@@ -193,17 +187,3 @@ RAW_COLUMNS: tuple[str, ...] = tuple(
     spec.name for spec in COLUMN_SPECS if not spec.enrichment
 )
 
-
-# -- batch <-> row converters ---------------------------------------------
-
-
-def records_to_batch(records: "Iterable[LogRecord]") -> "RecordBatch":
-    """Pack row objects into one struct-of-arrays RecordBatch."""
-    from .columnar import RecordBatch
-
-    return RecordBatch.from_records(records)
-
-
-def batch_to_records(batch: "RecordBatch") -> list[LogRecord]:
-    """Materialize a RecordBatch back into a list of row objects."""
-    return batch.to_records()

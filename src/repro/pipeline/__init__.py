@@ -3,7 +3,7 @@
 The paper's methodology is a chain of log-analysis passes; production
 reuse (thousands of sites × snapshots, millions of records) needs that
 chain to be composable, shardable and streaming rather than a set of
-eagerly-materialized properties on one facade object.  This package is
+eagerly-computed properties on one facade object.  This package is
 the contract:
 
 **Stage** (:mod:`repro.pipeline.stage`)
@@ -28,10 +28,11 @@ the contract:
     order before any order-sensitive reduction runs.
 
 **Streaming** (:class:`~repro.pipeline.context.RecordSource`)
-    Stages consume ``Iterable[LogRecord]`` fed directly from
-    ``read_jsonl`` / ``read_csv`` / ``read_clf`` factories without
-    double-materializing; only stages that genuinely need multiple
-    passes force the single bounded spill.
+    One row stream, re-read on every pass: stages consume ``Iterable[LogRecord]``
+    fed straight from an ``iter_log_records(path, format)`` factory
+    (or replayed from an in-memory list), one pass at a time.  Column
+    batches appear only where the pipeline hashes or gathers by column:
+    the source fingerprint and the shard partitioner.
 
 **Study stages** (:mod:`repro.pipeline.stages`)
     The paper's §4 chain as a prebuilt DAG
@@ -83,7 +84,6 @@ from .store import (
     SourceFingerprint,
     StoreInfo,
     fingerprint_batch,
-    fingerprint_batches,
     fingerprint_stream,
 )
 
@@ -106,7 +106,6 @@ __all__ = [
     "build_study_pipeline",
     "chunk_evenly",
     "fingerprint_batch",
-    "fingerprint_batches",
     "fingerprint_stream",
     "partition_batches",
     "restore_order",

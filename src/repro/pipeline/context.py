@@ -10,14 +10,12 @@ Three small objects shared by every stage of a pipeline run:
     deterministic in-process debugging).
 
 :class:`RecordSource`
-    Streaming ingestion with a *single bounded spill*.  Wraps a record
-    factory (``lambda: read_jsonl(path)``), an in-memory list, or a
-    one-shot iterable; stages consume it via :meth:`stream` and only
-    stages that genuinely need multiple passes force :meth:`materialize`.
-    A replayable factory source is streamed from disk on every pass and
-    never spilled, so ``analyze --format jsonl`` no longer
-    double-materializes the corpus (once in the CLI, once in the
-    facade) the way the pre-pipeline code did.
+    A row stream re-read on every pass: one zero-argument callable returning an
+    iterable of records.  A reader factory
+    (``lambda: iter_log_records(path, format)``) is streamed from disk
+    on every pass and never held whole; a list is replayed as-is.
+    Stages consume it via :meth:`stream`; the shard partitioner and
+    the fingerprint pack rows into column batches on the fly.
 
 :class:`PipelineContext`
     The artifact store stages read from and the runner writes to, plus
@@ -30,20 +28,14 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from ..exceptions import PipelineError
-from ..logs.columnar import (
-    DEFAULT_BATCH_RECORDS,
-    RecordBatch,
-    iter_batches,
-    rechunk,
-    rows_of,
-)
+from ..logs.columnar import DEFAULT_BATCH_RECORDS, RecordBatch, iter_batches
 from ..logs.schema import LogRecord
 from .shard import SHARD_KEY_COLUMNS
 from .store import (
     ArtifactStore,
     CacheStats,
     SourceFingerprint,
-    fingerprint_batches,
+    fingerprint_stream,
 )
 
 #: Valid shard-key names (see :mod:`repro.pipeline.shard`).
@@ -113,42 +105,23 @@ class PipelineConfig:
 class RecordSource:
     """A log-record source stages can stream from more than once.
 
-    Construct via :meth:`of`, which accepts:
+    Wraps exactly one zero-argument callable returning an iterable of
+    records; every :meth:`stream` call re-invokes it.  Construct via
+    :meth:`of`, which accepts:
 
     - another :class:`RecordSource` (returned unchanged);
-    - a ``list`` of records (reused as-is, zero copies);
-    - a zero-argument callable returning an iterable (replayable:
-      every :meth:`stream` call re-invokes it, nothing is spilled);
-    - any other iterable (consumed once into the spill immediately,
-      since a bare iterator cannot be replayed).
-
-    Batch-backed sources are constructed via :meth:`of_batches` from a
-    replayable :class:`RecordBatch` stream factory (e.g. ``lambda:
-    read_batches(path, "parquet")``).  Either backing serves both
-    granularities: :meth:`stream` over a batch source materializes one
-    thin row view at a time, and :meth:`batches` over a row source
-    packs rows into batches on the fly.
+    - a ``list`` of records (replayed as-is, zero copies: stages see
+      the caller's own objects);
+    - a zero-argument callable returning an iterable (e.g. ``lambda:
+      iter_log_records(path, "csv")``), re-run on every pass;
+    - any other iterable (consumed once into a list immediately, since
+      a bare iterator cannot be replayed).
     """
 
-    __slots__ = ("_factory", "_batch_factory", "_spill", "_fingerprint")
+    __slots__ = ("_factory", "_fingerprint")
 
-    def __init__(
-        self,
-        factory: Callable[[], Iterable[LogRecord]] | None = None,
-        records: list[LogRecord] | None = None,
-        batch_factory: Callable[[], Iterable[RecordBatch]] | None = None,
-    ) -> None:
-        backings = sum(
-            backing is not None for backing in (factory, records, batch_factory)
-        )
-        if backings != 1:
-            raise PipelineError(
-                "RecordSource needs exactly one of factory, records, or "
-                "batch_factory"
-            )
+    def __init__(self, factory: Callable[[], Iterable[LogRecord]]) -> None:
         self._factory = factory
-        self._batch_factory = batch_factory
-        self._spill = records
         self._fingerprint: SourceFingerprint | None = None
 
     @classmethod
@@ -158,80 +131,35 @@ class RecordSource:
     ) -> "RecordSource":
         if isinstance(source, RecordSource):
             return source
-        if isinstance(source, list):
-            return cls(records=source)
         if callable(source):
-            return cls(factory=source)
-        return cls(records=list(source))
-
-    @classmethod
-    def of_batches(
-        cls, batch_factory: Callable[[], Iterable[RecordBatch]]
-    ) -> "RecordSource":
-        """A source backed by a replayable column-batch stream."""
-        return cls(batch_factory=batch_factory)
-
-    @property
-    def replayable(self) -> bool:
-        """True when streaming passes do not require a spill."""
-        return self._factory is not None or self._batch_factory is not None
+            return cls(source)
+        records = source if isinstance(source, list) else list(source)
+        return cls(lambda: records)
 
     def stream(self) -> Iterator[LogRecord]:
-        """One full pass over the records.
-
-        Factory sources re-run the factory (true streaming); spilled
-        sources iterate the in-memory list; batch sources materialize
-        thin row views batch by batch.
-        """
-        if self._spill is not None:
-            return iter(self._spill)
-        if self._batch_factory is not None:
-            return rows_of(self._batch_factory())
-        assert self._factory is not None
+        """One full pass over the records."""
         return iter(self._factory())
 
     def batches(
         self, size: int = DEFAULT_BATCH_RECORDS
     ) -> Iterator[RecordBatch]:
-        """One full pass over the records as column batches.
-
-        Batch-backed sources re-slice their native stream to ``size``
-        rows per batch (pass-through when already exact); row-backed
-        sources pack rows on the fly, so at most one batch is live at a
-        time and the single-spill discipline is preserved.
-        """
-        if self._batch_factory is not None:
-            return rechunk(self._batch_factory(), size)
-        if self._spill is not None:
-            return iter_batches(iter(self._spill), size)
-        assert self._factory is not None
-        return iter_batches(self._factory(), size)
-
-    def materialize(self) -> list[LogRecord]:
-        """The records as a list — the single bounded spill.
-
-        Called only by stages that genuinely need random access or
-        multiple in-memory passes; the result is cached so the spill
-        happens at most once per source.
-        """
-        if self._spill is None:
-            self._spill = list(self.stream())
-        return self._spill
+        """One full pass as column batches of ``size`` rows (last one
+        partial), packed on the fly: at most one batch is live."""
+        return iter_batches(self.stream(), size)
 
     def fingerprint(self) -> SourceFingerprint:
         """Chunked content identity of this source (computed once).
 
         The fingerprint hashes raw column chunks, so it is independent
-        of the serialization format *and* of the backing granularity: a
-        JSONL row source and a Parquet batch source over the same
-        records produce identical digests and hit the same cached
-        artifacts.  Cached per instance: a factory source is assumed
-        not to change underneath one pipeline run; re-reading a grown
-        log file means constructing a fresh source (the CLI does this
-        on every invocation).
+        of the serialization format: a JSONL, CSV or Parquet reader
+        over the same records produces identical digests and hits the
+        same cached artifacts.  Cached per instance: a factory source
+        is assumed not to change underneath one pipeline run;
+        re-reading a grown log file means constructing a fresh source
+        (the CLI does this on every invocation).
         """
         if self._fingerprint is None:
-            self._fingerprint = fingerprint_batches(self.batches())
+            self._fingerprint = fingerprint_stream(self.stream())
         return self._fingerprint
 
 

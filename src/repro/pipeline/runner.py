@@ -214,7 +214,7 @@ class Pipeline:
 
         The cache lookup happens *before* dependency resolution — keys
         derive from fingerprints, not artifacts, so a warm run never
-        partitions, preprocesses, or even materializes upstream
+        partitions, preprocesses, or even loads upstream
         artifacts nobody asked for.  Dependencies are resolved (and
         thereby served from the store themselves, when possible) only
         once this stage actually has to execute.
@@ -268,7 +268,7 @@ class Pipeline:
         # Shards carrying an explicit fingerprint (non-record payloads
         # like scenario cells) key on it directly.  Batch-backed shards
         # fingerprint straight off their columns; a warm rerun never
-        # materializes a single row object for them.
+        # builds a single row object for them.
         keys = [
             digest_parts(
                 "shard",
@@ -314,7 +314,7 @@ class Pipeline:
 
         Demand flows through :meth:`get`, so only targets are pulled
         directly and, with a store attached, a cached target never
-        materializes its upstream closure.
+        computes or loads its upstream closure.
         """
         wanted = tuple(targets) if targets is not None else self.order
         return {name: self.get(name) for name in wanted}

@@ -60,7 +60,7 @@ class Shard:
     """One hash partition of a record stream.
 
     A shard from :func:`partition_batches` is backed by a
-    :class:`RecordBatch`; :attr:`records` materializes its rows on
+    :class:`RecordBatch`; :attr:`records` builds its rows on
     first access, and the per-shard artifact cache hashes the batch
     columns directly.  Any other payload — e.g. scenario-matrix cells,
     whose "records" are declarative specs rather than
@@ -102,7 +102,7 @@ class Shard:
 
     @property
     def records(self) -> list[LogRecord]:
-        """The shard's rows, in stream order (materialized if needed)."""
+        """The shard's rows, in stream order (built on first access)."""
         if self._records is None:
             assert self.batch is not None
             self._records = self.batch.to_records()
@@ -123,7 +123,7 @@ def partition_batches(
     Assigns rows to shards by hashing the key *column*
     (:data:`SHARD_KEY_COLUMNS`) with :func:`shard_index` and gathers
     them with :meth:`RecordBatch.take` — no row objects are
-    materialized at any point.  Consumes ``batches`` exactly once;
+    built at any point.  Consumes ``batches`` exactly once;
     rows with the same shard key always land in the same shard, and
     every shard preserves the relative order of its rows.
     """

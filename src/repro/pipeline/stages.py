@@ -98,32 +98,29 @@ def _records(context: PipelineContext) -> list[LogRecord]:
 def _preprocess_sequential(
     context: PipelineContext, preprocessor: Preprocessor | None = None
 ) -> tuple[list[LogRecord], object]:
-    """Single-process preprocessing, streaming where the source allows.
+    """Single-process preprocessing in two streaming passes.
 
-    Replayable sources (file readers) are streamed twice — one pass
-    for scanner statistics, one for filtered enrichment — so only the
-    surviving records are ever held in memory.  List sources reuse the
-    caller's list with zero copies, exactly like the legacy facade.
+    One pass gathers scanner statistics, one enriches the surviving
+    records, so only those are ever held in memory.  A list source
+    replays the caller's own objects, which are enriched in place.
     """
     pre = preprocessor if preprocessor is not None else Preprocessor()
     source = context.source
     assert source is not None
-    if source.replayable:
-        if pre.drop_scanners:
-            seen, totals, probes = scanner_stats(source.stream())
-            ips = scanner_ips_from_stats(totals, probes)
-            return pre.enrich_filtered(source.stream(), ips, seen)
-        return pre.enrich_filtered(source.stream(), set())
-    return pre.run(source.materialize())
+    if pre.drop_scanners:
+        seen, totals, probes = scanner_stats(source.stream())
+        ips = scanner_ips_from_stats(totals, probes)
+        return pre.enrich_filtered(source.stream(), ips, seen)
+    return pre.enrich_filtered(source.stream(), set())
 
 
 def _partition_stage(context: PipelineContext):
     """Hash-partition the source, columnar-wise.
 
-    Streams the source as batches into batch-backed shards: no row
-    objects exist until a shard actually has to run its worker, and on
-    a warm (fully cached) run none are ever materialized — per-shard
-    cache keys hash the shard's columns directly.
+    Packs the row stream into column batches and gathers them into
+    batch-backed shards: a shard's rows are rebuilt only when its
+    worker actually has to run, and on a warm (fully cached) run never
+    — per-shard cache keys hash the shard's columns directly.
     """
     source = context.source
     assert source is not None

@@ -45,8 +45,8 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from ..exceptions import ArtifactCorruptionError, PipelineError
-from ..logs.columnar import RecordBatch, iter_batches, rechunk
-from ..logs.schema import RAW_COLUMNS
+from ..logs.columnar import RecordBatch, iter_batches
+from ..logs.schema import RAW_COLUMNS, LogRecord
 
 #: Bump to invalidate every cached artifact (on-disk format changes,
 #: cross-cutting semantic fixes).  Stage-local changes should bump the
@@ -166,16 +166,15 @@ class SourceFingerprint:
         return shared
 
 
-def fingerprint_batches(
-    batches: Iterable[RecordBatch],
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
+def fingerprint_stream(
+    records: Iterable[LogRecord], chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> SourceFingerprint:
-    """Fingerprint a batch stream in one pass.
+    """Fingerprint a row stream in one pass.
 
-    Incoming batches are re-sliced to exactly ``chunk_records`` rows
-    per chunk, so the chunk digests — and every cache key derived from
-    them — are independent of the source's own batch size *and* of its
-    serialization format.
+    Rows are packed into batches of exactly ``chunk_records`` rows (the
+    last one partial) and each batch's raw columns are hashed, so the
+    chunk digests — and every cache key derived from them — depend only
+    on record content, never on the serialization format.
     """
     if chunk_records < 1:
         raise PipelineError(
@@ -183,7 +182,7 @@ def fingerprint_batches(
         )
     chunks: list[str] = []
     total = 0
-    for chunk in rechunk(batches, chunk_records):
+    for chunk in iter_batches(records, chunk_records):
         chunks.append(fingerprint_batch(chunk))
         total += len(chunk)
     overall = hashlib.sha256()
@@ -191,19 +190,6 @@ def fingerprint_batches(
         overall.update(piece.encode("ascii"))
     return SourceFingerprint(
         chunks=tuple(chunks), digest=overall.hexdigest(), records=total
-    )
-
-
-def fingerprint_stream(
-    records: Iterable[object], chunk_records: int = DEFAULT_CHUNK_RECORDS
-) -> SourceFingerprint:
-    """Fingerprint a row stream (packs into chunk-sized batches)."""
-    if chunk_records < 1:
-        raise PipelineError(
-            f"chunk_records must be >= 1, got {chunk_records}"
-        )
-    return fingerprint_batches(
-        iter_batches(records, chunk_records), chunk_records
     )
 
 

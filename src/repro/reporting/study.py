@@ -129,7 +129,7 @@ class StudyAnalysis:
 
         ``source`` is anything :meth:`RecordSource.of` accepts — most
         usefully a reader factory like ``lambda: read_jsonl(path)``,
-        which is streamed rather than materialized twice.  ``options``
+        which is streamed rather than loaded into memory.  ``options``
         are the constructor's keyword arguments.  The ``dataset``
         attribute is ``None`` on instances built this way.
         """

@@ -232,3 +232,43 @@ class TestConvertCommand:
             err = capsys.readouterr().err
             assert "pyarrow" in err
             assert err.startswith("error:")
+            assert not target.exists()
+
+    def test_same_path_converts_in_place(self, tmp_path, capsys):
+        from repro.logs.io import read_csv, read_jsonl
+
+        log = self._simulate(tmp_path)
+        records = list(read_jsonl(log))
+        capsys.readouterr()
+        assert main(["convert", log, log, "--to", "csv"]) == 0
+        assert f"converted {len(records):,} records" in capsys.readouterr().out
+        assert list(read_csv(log)) == records
+
+
+class TestBadLogInput:
+    """Malformed or missing logs end in one ``error:`` line, exit 1."""
+
+    @pytest.mark.parametrize("line", ["{not json", "[1,2]", "null"])
+    def test_analyze_malformed_log(self, tmp_path, capsys, line):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(line + "\n")
+        assert main(["analyze", str(log), "--experiments", "T4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{log}:1" in err
+        assert "Traceback" not in err
+
+    def test_analyze_missing_log(self, tmp_path, capsys):
+        log = tmp_path / "missing.jsonl"
+        assert main(["analyze", str(log), "--experiments", "T4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "missing.jsonl" in err
+
+    def test_convert_missing_source(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        missing = str(tmp_path / "nope.jsonl")
+        code = main(["convert", missing, str(target), "--to", "csv"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()

@@ -15,7 +15,7 @@ import tempfile
 import pytest
 
 from repro.bots.profiles import build_profiles
-from repro.logs.io import convert_log, read_batches, read_jsonl, write_jsonl
+from repro.logs.io import convert_log, iter_log_records, write_jsonl
 from repro.logs.parquet import HAVE_PYARROW
 from repro.logs.schema import LogRecord
 from repro.pipeline import PipelineConfig, RecordSource, build_study_pipeline
@@ -128,13 +128,10 @@ def _format_source(records, tmp_path, fmt):
     """A :class:`RecordSource` over ``records`` serialized as ``fmt``."""
     jsonl = tmp_path / "log.jsonl"
     write_jsonl(records, jsonl)
-    if fmt == "jsonl":
-        return RecordSource.of(lambda: read_jsonl(jsonl))
     target = tmp_path / f"log.{fmt}"
-    convert_log(jsonl, target, "jsonl", fmt)
-    return RecordSource.of_batches(
-        lambda: read_batches(target, format=fmt)
-    )
+    if fmt != "jsonl":
+        convert_log(jsonl, target, "jsonl", fmt)
+    return RecordSource.of(lambda: iter_log_records(target, fmt))
 
 
 FORMATS = [

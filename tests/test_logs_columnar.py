@@ -1,10 +1,11 @@
 """Unit tests for the columnar record backend.
 
 Covers the struct-of-arrays :class:`RecordBatch` core, the batch
-streaming helpers (``iter_batches`` / ``rechunk`` / ``rows_of``), the
-batch IO round-trips across every storage format, and the schema's
-``"" -> None`` normalization asymmetry that every read path must apply
-identically (it is what makes fingerprints format-independent).
+streaming helpers (``iter_batches`` / ``rows_of``), IO round-trips
+through the format dispatchers (``write_log`` / ``iter_log_records``)
+for every storage format, and the schema's ``"" -> None``
+normalization asymmetry that every read path must apply identically
+(it is what makes fingerprints format-independent).
 
 Parquet tests run only when pyarrow is installed (the ``[parquet]``
 extra / the CI pyarrow leg); the missing-dependency error path runs
@@ -16,26 +17,16 @@ import json
 import pytest
 
 from repro.exceptions import LogSchemaError, MissingDependencyError
-from repro.logs.columnar import (
-    RecordBatch,
-    iter_batches,
-    rechunk,
-    rows_of,
-)
+from repro.logs.columnar import RecordBatch, iter_batches, rows_of
 from repro.logs.io import (
     convert_log,
-    read_batches,
+    iter_log_records,
     read_jsonl,
-    write_batches,
     write_jsonl,
+    write_log,
 )
-from repro.logs.parquet import HAVE_PYARROW
-from repro.logs.schema import (
-    CSV_COLUMNS,
-    LogRecord,
-    batch_to_records,
-    records_to_batch,
-)
+from repro.logs.parquet import HAVE_PYARROW, read_parquet, write_parquet
+from repro.logs.schema import CSV_COLUMNS, LogRecord
 from repro.pipeline.store import fingerprint_stream
 from repro.uaparse.categories import BotCategory
 
@@ -76,10 +67,6 @@ class TestRecordBatchCore:
         batch = RecordBatch.from_records(records)
         assert len(batch) == len(records)
         assert batch.to_records() == records
-
-    def test_converter_functions_match_methods(self):
-        records = sample_records(3)
-        assert batch_to_records(records_to_batch(records)) == records
 
     def test_bot_category_column_holds_labels_not_enums(self):
         batch = RecordBatch.from_records(sample_records(2))
@@ -146,54 +133,43 @@ class TestBatchStreaming:
         with pytest.raises(LogSchemaError):
             list(iter_batches([], 0))
 
-    def test_rechunk_is_size_independent(self):
-        records = sample_records(10)
-        for source_size in (1, 3, 4, 10):
-            batches = iter_batches(iter(records), source_size)
-            resliced = list(rechunk(batches, 4))
-            assert [len(b) for b in resliced] == [4, 4, 2]
-            assert list(rows_of(resliced)) == records
-
-    def test_rechunk_passes_exact_batches_through(self):
-        batch = RecordBatch.from_records(sample_records(4))
-        (out,) = rechunk([batch], 4)
-        assert out is batch
-
 
 class TestBatchIO:
+    """Row-stream IO through the format dispatchers, and the batch row
+    view's fidelity under serialization."""
+
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
     def test_text_round_trip(self, tmp_path, format):
         records = sample_records()
         path = tmp_path / f"log.{format}"
-        written = write_batches(iter_batches(iter(records), 3), path, format)
+        written = write_log(iter(records), path, format)
         assert written == len(records)
-        loaded = list(rows_of(read_batches(path, format=format, batch_records=2)))
+        loaded = list(iter_log_records(path, format))
         assert loaded == records
 
     def test_batch_jsonl_matches_row_jsonl(self, tmp_path):
-        """The columnar writer and the row writer emit identical bytes."""
+        """Rows rebuilt from batches serialize to identical bytes."""
         records = sample_records()
         row_path = tmp_path / "rows.jsonl"
         batch_path = tmp_path / "batches.jsonl"
         write_jsonl(records, row_path)
-        write_batches(iter_batches(iter(records), 2), batch_path, "jsonl")
+        write_log(rows_of(iter_batches(iter(records), 2)), batch_path, "jsonl")
         assert batch_path.read_bytes() == row_path.read_bytes()
 
     def test_clf_round_trip_keeps_core_fields(self, tmp_path):
         records = sample_records(4)
         path = tmp_path / "access.log"
-        assert write_batches(iter_batches(iter(records), 2), path, "clf") == 4
-        loaded = list(
-            rows_of(read_batches(path, format="clf", sitename="ignored"))
-        )
+        assert write_log(iter(records), path, "clf") == 4
+        loaded = list(iter_log_records(path, "clf", sitename="ignored"))
         assert [r.uri_path for r in loaded] == [r.uri_path for r in records]
         assert [r.bytes_sent for r in loaded] == [r.bytes_sent for r in records]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(LogSchemaError, match="unknown log format"):
-            write_batches([], tmp_path / "x", format="orc")
+            write_log([], tmp_path / "x", format="orc")
         with pytest.raises(LogSchemaError, match="unknown log format"):
-            list(read_batches(tmp_path / "x", format="orc"))
+            list(iter_log_records(tmp_path / "x", format="orc"))
+        assert not (tmp_path / "x").exists()
 
     def test_convert_jsonl_to_csv_and_back(self, tmp_path):
         records = sample_records()
@@ -213,7 +189,7 @@ class TestBatchIO:
         convert_log(jsonl, csv_path, "jsonl", "csv")
         original = fingerprint_stream(read_jsonl(jsonl), chunk_records=3)
         converted = fingerprint_stream(
-            rows_of(read_batches(csv_path, format="csv")), chunk_records=3
+            iter_log_records(csv_path, "csv"), chunk_records=3
         )
         assert converted == original
 
@@ -222,9 +198,9 @@ class TestEmptyStringNormalization:
     """The schema's ``"" -> None`` asymmetry (from_dict normalizes).
 
     A record *written* with an empty-string referer reads back as
-    ``None`` on every path — row readers, batch readers, and (when
-    available) Parquet — so the normalized form is the canonical one
-    and all formats fingerprint identically.
+    ``None`` on every path — every row reader, the batches packed from
+    its rows, and (when available) Parquet — so the normalized form is
+    the canonical one and all formats fingerprint identically.
     """
 
     def test_from_dict_normalizes_empty_nullable_strings(self):
@@ -243,15 +219,15 @@ class TestEmptyStringNormalization:
         path.write_text(json.dumps(row) + "\n")
         (loaded,) = read_jsonl(path)
         assert loaded.referer is None
-        (batch,) = read_batches(path)
+        (batch,) = iter_batches(read_jsonl(path))
         assert list(batch.column("referer")) == [None]
 
     def test_csv_none_and_empty_collapse_together(self, tmp_path):
         records = sample_records(2)
         assert records[0].referer is None
         path = tmp_path / "log.csv"
-        write_batches(iter_batches(iter(records), 2), path, "csv")
-        (batch,) = read_batches(path, format="csv")
+        write_log(records, path, "csv")
+        (batch,) = iter_batches(iter_log_records(path, "csv"))
         assert list(batch.column("referer")) == [
             None,
             "https://example.com/",
@@ -261,22 +237,21 @@ class TestEmptyStringNormalization:
 
 @needs_pyarrow
 class TestParquet:
+    """Parquet through the dispatchers and through its own row codec."""
+
     def test_round_trip(self, tmp_path):
         records = sample_records()
         path = tmp_path / "log.parquet"
-        written = write_batches(iter_batches(iter(records), 3), path, "parquet")
+        written = write_log(iter(records), path, "parquet")
         assert written == len(records)
-        loaded = list(
-            rows_of(read_batches(path, format="parquet", batch_records=2))
-        )
-        assert loaded == records
+        assert list(read_parquet(path, batch_records=2)) == records
 
     def test_row_group_per_batch_preserves_streaming(self, tmp_path):
         import pyarrow.parquet as pq
 
         records = sample_records(7)
         path = tmp_path / "log.parquet"
-        write_batches(iter_batches(iter(records), 3), path, "parquet")
+        write_parquet(iter(records), path, batch_records=3)
         assert pq.ParquetFile(str(path)).num_row_groups == 3
 
     def test_empty_string_referer_normalized_on_read(self, tmp_path):
@@ -285,7 +260,7 @@ class TestParquet:
 
         records = sample_records(1)
         path = tmp_path / "log.parquet"
-        write_batches(iter_batches(iter(records), 1), path, "parquet")
+        write_parquet(records, path)
         # Rewrite the file with an empty-string referer to simulate a
         # foreign producer that did not normalize.
         table = pq.read_table(str(path))
@@ -294,8 +269,8 @@ class TestParquet:
             index, table.schema.field(index), pa.array([""], type=pa.string())
         )
         pq.write_table(table, str(path))
-        (batch,) = read_batches(path, format="parquet")
-        assert list(batch.column("referer")) == [None]
+        (loaded,) = read_parquet(path)
+        assert loaded.referer is None
 
     def test_convert_jsonl_to_parquet_round_trip(self, tmp_path):
         records = sample_records()
@@ -313,10 +288,8 @@ class TestParquet:
         parquet = tmp_path / "log.parquet"
         write_jsonl(records, jsonl)
         convert_log(jsonl, parquet, "jsonl", "parquet")
-        from repro.pipeline.store import fingerprint_batches
-
-        assert fingerprint_batches(
-            read_batches(parquet, format="parquet"), chunk_records=3
+        assert fingerprint_stream(
+            read_parquet(parquet, batch_records=2), chunk_records=3
         ) == fingerprint_stream(read_jsonl(jsonl), chunk_records=3)
 
 
@@ -324,11 +297,11 @@ class TestParquet:
 class TestParquetUnavailable:
     def test_write_raises_pointed_error(self, tmp_path):
         with pytest.raises(MissingDependencyError, match=r"\[parquet\]"):
-            write_batches([], tmp_path / "x.parquet", "parquet")
+            write_log([], tmp_path / "x.parquet", "parquet")
 
     def test_read_raises_pointed_error(self, tmp_path):
         with pytest.raises(MissingDependencyError, match="pyarrow"):
-            list(read_batches(tmp_path / "x.parquet", format="parquet"))
+            list(iter_log_records(tmp_path / "x.parquet", "parquet"))
 
     def test_convert_raises_pointed_error(self, tmp_path):
         source = tmp_path / "log.jsonl"

@@ -1,9 +1,12 @@
 """Unit tests for log IO: JSONL, CSV, and Apache CLF."""
 
+import json
+
 import pytest
 
 from repro.exceptions import LogSchemaError
 from repro.logs.io import (
+    convert_log,
     parse_clf_line,
     read_clf,
     read_csv,
@@ -66,6 +69,25 @@ class TestJsonl:
         with pytest.raises(LogSchemaError, match="bad.jsonl:1"):
             list(read_jsonl(path))
 
+    @pytest.mark.parametrize("line", ["[1,2]", "null", '"text"', "7"])
+    def test_non_object_line_raises_with_location(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(sample_records(), path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(LogSchemaError, match="bad.jsonl:3.*JSON object"):
+            list(read_jsonl(path))
+
+    @pytest.mark.parametrize(
+        "field, value", [("asn", None), ("timestamp", 5), ("bytes", [])]
+    )
+    def test_mistyped_field_raises_with_location(self, tmp_path, field, value):
+        row = sample_records()[0].to_dict()
+        row[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(LogSchemaError, match="bad.jsonl:1"):
+            list(read_jsonl(path))
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -82,6 +104,13 @@ class TestCsv:
         write_csv(sample_records(), path)
         loaded = list(read_csv(path))
         assert loaded[1].timestamp == 1_739_500_100.5
+
+    def test_short_row_raises_with_location(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_csv(sample_records(), path)
+        path.write_text(path.read_text() + "Agent/1.0\n")
+        with pytest.raises(LogSchemaError, match="log.csv:4"):
+            list(read_csv(path))
 
 
 class TestClf:
@@ -129,6 +158,39 @@ class TestClf:
         path.write_text(self.LINE + "\ngarbage\n" + self.LINE + "\n")
         records = list(read_clf(path, sitename="x.edu"))
         assert len(records) == 2
+
+
+class TestConvert:
+    """``convert_log`` publishes its target only once the whole source
+    has converted."""
+
+    def test_same_path_converts_in_place(self, tmp_path):
+        path = tmp_path / "log"
+        records = sample_records()
+        write_jsonl(records, path)
+        assert convert_log(path, path, "jsonl", "csv") == len(records)
+        assert list(read_csv(path)) == records
+        assert [entry.name for entry in tmp_path.iterdir()] == ["log"]
+
+    def test_missing_source_leaves_no_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(FileNotFoundError):
+            convert_log(tmp_path / "missing.jsonl", target, "jsonl", "csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_record_keeps_existing_target(self, tmp_path):
+        source = tmp_path / "log.jsonl"
+        write_jsonl(sample_records(), source)
+        source.write_text(source.read_text() + "not json\n")
+        target = tmp_path / "out.csv"
+        target.write_text("previous contents\n")
+        with pytest.raises(LogSchemaError, match="log.jsonl:3"):
+            convert_log(source, target, "jsonl", "csv")
+        assert target.read_text() == "previous contents\n"
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == [
+            "log.jsonl",
+            "out.csv",
+        ]
 
 
 class TestSchema:

@@ -165,10 +165,24 @@ class TestPipelineExecution:
 
 class TestRecordSource:
     def test_list_source_is_zero_copy(self):
-        records = [make_record()]
+        from repro.pipeline import build_study_pipeline
+        from repro.simulation import quick_scenario
+
+        records = [make_record(ip=f"ip-{i}", when=float(i)) for i in range(5)]
         source = RecordSource.of(records)
-        assert source.materialize() is records
-        assert not source.replayable
+        assert all(
+            streamed is record
+            for streamed, record in zip(source.stream(), records, strict=True)
+        )
+        pipeline = build_study_pipeline(
+            source=source, scenario=quick_scenario(scale=0.1, seed=3)
+        )
+        kept, report = pipeline.get("preprocess")
+        assert report.input_records == len(records)
+        # Preprocessing enriches the caller's own objects in place.
+        assert all(
+            mine is theirs for mine, theirs in zip(kept, records, strict=True)
+        )
 
     def test_factory_source_streams_repeatedly(self):
         streams = []
@@ -178,7 +192,6 @@ class TestRecordSource:
             return iter([make_record(), make_record()])
 
         source = RecordSource.of(factory)
-        assert source.replayable
         assert len(list(source.stream())) == 2
         assert len(list(source.stream())) == 2
         assert len(streams) == 2
@@ -326,4 +339,8 @@ class TestDatasetShardIterator:
                 assert not (sites_per_shard[left] & sites_per_shard[right])
 
     def test_dataset_source_is_zero_copy(self, quick_dataset):
-        assert quick_dataset.source().materialize() is quick_dataset.records
+        streamed = quick_dataset.source().stream()
+        assert all(
+            mine is theirs
+            for mine, theirs in zip(streamed, quick_dataset.records, strict=True)
+        )
