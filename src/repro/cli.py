@@ -54,8 +54,8 @@ from pathlib import Path
 
 from . import __version__
 from .exceptions import ConfigError, LogSchemaError, MissingDependencyError
-from .logs.io import LOG_FORMATS, convert_log, iter_log_records, write_log
-from .pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES
+from .logs.io import LOG_FORMATS, convert_log, write_log
+from .pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES, RecordSource
 from .reporting.experiments import EXPERIMENTS, run_all, run_experiment
 from .reporting.study import StudyAnalysis
 from .robots.corpus import all_versions, render_version
@@ -498,11 +498,9 @@ def _print_experiments(analysis: StudyAnalysis, wanted: list[str] | None) -> int
     return 0
 
 
-def _record_reader(args: argparse.Namespace):
+def _record_reader(args: argparse.Namespace) -> RecordSource:
     """A row source over ``args.log`` in ``args.format``, re-read per pass."""
-    return lambda: iter_log_records(
-        args.log, args.format, sitename=args.site, asn=args.asn
-    )
+    return RecordSource.from_file(args.log, args.format, args.site, args.asn)
 
 
 def _print_cache_stats(analysis: StudyAnalysis, args: argparse.Namespace) -> None:

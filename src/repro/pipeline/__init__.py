@@ -46,22 +46,27 @@ the contract:
     declared code token, and the transitive fingerprints of its
     dependencies; shard-stage worker outputs are additionally cached
     per shard by content, so appending records to a log reruns only
-    the affected shard plus the stages downstream of it.  The cached
-    == cold byte-parity guarantee is property-tested alongside the
-    sharded == sequential one.
+    the affected shard plus the stages downstream of it.  A log file
+    source (:meth:`RecordSource.from_file`) memoizes its fingerprint
+    in the store under the SHA-256 of the file's raw bytes, so a warm
+    run over an unchanged log parses no row.  The cached == cold
+    byte-parity guarantee is property-tested alongside the sharded ==
+    sequential one.
 
 Quickstart::
 
-    from repro.pipeline import PipelineConfig, build_study_pipeline
+    from repro.pipeline import (
+        PipelineConfig, RecordSource, build_study_pipeline,
+    )
 
     pipeline = build_study_pipeline(
-        source=lambda: read_jsonl("study.jsonl"),
+        source=RecordSource.from_file("study.jsonl"),
         scenario=default_scenario(),
         config=PipelineConfig(jobs=4, shard_by="site"),
         cache_dir=".repro-cache",            # incremental re-analysis
     )
     table = pipeline.get("category_table")       # Table 5
-    records, report = pipeline.get("preprocess")
+    report = pipeline.get("preprocess_report")   # counts, no records
     print(pipeline.context.stats.summary())      # hits/misses this run
 """
 

@@ -11,11 +11,12 @@ Three small objects shared by every stage of a pipeline run:
 
 :class:`RecordSource`
     A row stream re-read on every pass: one zero-argument callable returning an
-    iterable of records.  A reader factory
-    (``lambda: iter_log_records(path, format)``) is streamed from disk
-    on every pass and never held whole; a list is replayed as-is.
-    Stages consume it via :meth:`stream`; the shard partitioner and
-    the fingerprint pack rows into column batches on the fly.
+    iterable of records.  A log file (:meth:`RecordSource.from_file`)
+    is streamed from disk on every pass and never held whole; a list is
+    replayed as-is.  Stages consume it via :meth:`stream`; the shard
+    partitioner and the fingerprint pack rows into column batches on
+    the fly.  A file source memoizes its fingerprint in the artifact
+    store, keyed by the file's raw bytes, so a warm run never parses it.
 
 :class:`PipelineContext`
     The artifact store stages read from and the runner writes to, plus
@@ -26,15 +27,21 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from ..exceptions import PipelineError
 from ..logs.columnar import DEFAULT_BATCH_RECORDS, RecordBatch, iter_batches
+from ..logs.io import iter_log_records
 from ..logs.schema import LogRecord
 from .shard import SHARD_KEY_COLUMNS
 from .store import (
+    CACHE_SCHEMA,
+    DEFAULT_CHUNK_RECORDS,
     ArtifactStore,
     CacheStats,
     SourceFingerprint,
+    digest_parts,
+    file_sha256,
     fingerprint_stream,
 )
 
@@ -45,6 +52,15 @@ SHARD_BY_CHOICES: tuple[str, ...] = tuple(SHARD_KEY_COLUMNS)
 #: a filesystem-spool task queue (:mod:`repro.distributed`) consumed by
 #: worker processes on this or other hosts; it requires ``spool``.
 EXECUTOR_CHOICES: tuple[str, ...] = ("process", "thread", "inline", "queue")
+
+#: Version of the bytes -> rows mapping of the log readers.  It keys the
+#: source-fingerprint memo, so bump it whenever a reader change can
+#: turn the same file into different rows.
+READER_TOKEN = "1"
+
+#: Pseudo-stage that tags source-fingerprint memo entries in the store
+#: (what ``cache info --verbose`` lists them under).
+SOURCE_MEMO_STAGE = "source-fingerprint"
 
 
 @dataclass(frozen=True)
@@ -116,13 +132,38 @@ class RecordSource:
       iter_log_records(path, "csv")``), re-run on every pass;
     - any other iterable (consumed once into a list immediately, since
       a bare iterator cannot be replayed).
+
+    A log file is best wrapped with :meth:`from_file`, whose fingerprint
+    can be memoized in an artifact store.
     """
 
-    __slots__ = ("_factory", "_fingerprint")
+    __slots__ = ("_factory", "_fingerprint", "_path", "_reader_args")
 
     def __init__(self, factory: Callable[[], Iterable[LogRecord]]) -> None:
         self._factory = factory
         self._fingerprint: SourceFingerprint | None = None
+        self._path: Path | None = None
+        self._reader_args: tuple[str, ...] = ()
+
+    @classmethod
+    def from_file(
+        cls,
+        path: str | Path,
+        format: str = "jsonl",
+        sitename: str = "",
+        asn: int = 0,
+    ) -> "RecordSource":
+        """A source re-reading one log file per pass.
+
+        The arguments are :func:`~repro.logs.io.iter_log_records`'s;
+        they also key the fingerprint memo (see :meth:`fingerprint`).
+        """
+        source = cls(
+            lambda: iter_log_records(path, format, sitename=sitename, asn=asn)
+        )
+        source._path = Path(path)
+        source._reader_args = (format, sitename, str(asn))
+        return source
 
     @classmethod
     def of(
@@ -147,7 +188,7 @@ class RecordSource:
         partial), packed on the fly: at most one batch is live."""
         return iter_batches(self.stream(), size)
 
-    def fingerprint(self) -> SourceFingerprint:
+    def fingerprint(self, store: ArtifactStore | None = None) -> SourceFingerprint:
         """Chunked content identity of this source (computed once).
 
         The fingerprint hashes raw column chunks, so it is independent
@@ -157,10 +198,39 @@ class RecordSource:
         is assumed not to change underneath one pipeline run;
         re-reading a grown log file means constructing a fresh source
         (the CLI does this on every invocation).
+
+        With a ``store``, a :meth:`from_file` source first hashes the
+        file's raw bytes and looks the fingerprint up in the store
+        under that hash (plus format, CLF site/ASN and
+        :data:`READER_TOKEN`), so an unchanged file is never parsed.  A
+        miss parses the file and publishes the memo, unless the file's
+        bytes changed during the parse.
         """
         if self._fingerprint is None:
-            self._fingerprint = fingerprint_stream(self.stream())
+            if store is None or self._path is None:
+                self._fingerprint = fingerprint_stream(self.stream())
+            else:
+                self._fingerprint = self._memoized(self._path, store)
         return self._fingerprint
+
+    def _memoized(self, path: Path, store: ArtifactStore) -> SourceFingerprint:
+        raw = file_sha256(path)
+        key = digest_parts(
+            "source",
+            CACHE_SCHEMA,
+            READER_TOKEN,
+            *self._reader_args,
+            str(DEFAULT_CHUNK_RECORDS),
+            raw,
+        )
+        status, memo = store.load(key)
+        if status == "hit":
+            return memo  # type: ignore[return-value]
+        fingerprint = fingerprint_stream(self.stream())
+        # A file edited mid-parse must not map these bytes to those rows.
+        if file_sha256(path) == raw:
+            store.store(key, fingerprint, stage=SOURCE_MEMO_STAGE)
+        return fingerprint
 
 
 @dataclass

@@ -29,7 +29,10 @@ each shard's worker output under the shard's *content* fingerprint, so
 an appended log reruns only the shards that actually received records;
 untouched shards load from the store and only the merge (plus the
 stages downstream of the changed data) recomputes.  Hits, misses and
-invalidations are tallied in ``context.stats``.
+invalidations are tallied in ``context.stats``.  A file-backed source
+memoizes its fingerprint in the same store, keyed by the file's raw
+bytes, so a warm run over an unchanged log hashes it and parses none
+of it.
 """
 
 from __future__ import annotations
@@ -128,7 +131,9 @@ class Pipeline:
 
     def _source_digest(self) -> str:
         source = self.context.source
-        return source.fingerprint().digest if source is not None else ""
+        if source is None:
+            return ""
+        return source.fingerprint(self.context.store).digest
 
     def _stage_fingerprint(self, name: str) -> str:
         """Transitive cache key for one stage (memoized).

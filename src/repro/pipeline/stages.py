@@ -11,7 +11,8 @@ over exactly this pipeline; drivers in
 
 Stage graph (artifact names)::
 
-    preprocess ──┬── overview ── overview_tables
+    preprocess ──┬── preprocess_report
+                 ├── overview ── overview_tables
                  ├── phase_slices ──┬── directive_records ── skipped_checks
                  │                  ├── per_bot ── category_table
                  │                  ├── per_bot_spoofed
@@ -22,8 +23,9 @@ Stage graph (artifact names)::
 
 ``per_bot``, ``per_bot_spoofed`` and ``phase_tables`` also read
 ``spoof_findings``.  ``overview_tables`` (Tables 2-3, Figures 2-4) and
-``phase_tables`` (Tables 4 and 9) hold the small printed tables, so a
-warm run loads them instead of the record lists they reduce.
+``phase_tables`` (Tables 4 and 9) hold the small printed tables, and
+``preprocess_report`` the preprocessing counts, so a warm run loads
+them instead of the record lists they reduce.
 
 With ``config.jobs > 1`` the ``preprocess`` stage becomes a
 :class:`~repro.pipeline.stage.ShardStage`: the record stream is hash-
@@ -127,6 +129,11 @@ def _partition_stage(context: PipelineContext):
     return partition_batches(
         source.batches(), context.config.jobs, context.config.shard_by
     )
+
+
+def _preprocess_report(context: PipelineContext):
+    _records, report = context.artifact("preprocess")
+    return report
 
 
 def _merge_preprocess(outputs, context: PipelineContext):
@@ -356,6 +363,9 @@ def build_study_pipeline(
         )
     stages.extend(
         [
+            FunctionStage(
+                "preprocess_report", _preprocess_report, deps=("preprocess",)
+            ),
             FunctionStage("overview", _overview, deps=("preprocess",)),
             FunctionStage("phase_slices", _phase_slices, deps=("preprocess",)),
             FunctionStage(

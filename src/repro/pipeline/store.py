@@ -17,6 +17,11 @@ from *what produced them*:
   fingerprints of its dependencies, Bazel-style, so editing a stage (or
   anything upstream of it) invalidates exactly the downstream cone.
 
+The source fingerprint of a log file is itself memoized here, keyed by
+the SHA-256 of the file's raw bytes (see
+:meth:`~repro.pipeline.context.RecordSource.fingerprint`): a warm run
+hashes the file instead of parsing it, and any byte change misses.
+
 The on-disk format is deliberately boring: one file per artifact under
 ``objects/``, written to a temporary name and atomically published with
 :func:`os.replace` so readers never observe partial writes (lock-free
@@ -74,6 +79,12 @@ _CORRUPT = object()
 def digest_parts(*parts: str) -> str:
     """SHA-256 over a tuple of string tokens (the key derivation)."""
     return hashlib.sha256(_SEP.join(parts).encode("utf-8")).hexdigest()
+
+
+def file_sha256(path: str | Path) -> str:
+    """SHA-256 of a file's raw bytes, streamed (never held whole)."""
+    with open(path, "rb") as handle:
+        return hashlib.file_digest(handle, "sha256").hexdigest()
 
 
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
@@ -406,16 +417,8 @@ class ArtifactStore:
             blob = path.read_bytes()
         except OSError:
             return "miss", None
-        try:
-            if not blob.startswith(_MAGIC):
-                raise ArtifactCorruptionError("bad artifact header")
-            body = blob[len(_MAGIC) :]
-            _stage, _, body = body.partition(b"\n")
-            digest, _, payload = body.partition(b"\n")
-            if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-                raise ArtifactCorruptionError("artifact checksum mismatch")
-            value = pickle.loads(payload)
-        except Exception:
+        value = self._decode(blob)
+        if value is _CORRUPT:
             # Torn copy, external truncation, a pre-v2 layout, or an
             # unpicklable payload: drop the file and let the caller
             # recompute + republish.

@@ -21,7 +21,8 @@ pipeline API directly.
 Facade attribute -> pipeline artifact:
 
 ==============================================  ==========================
-``records``/``preprocess_report``               ``preprocess``
+``records``                                     ``preprocess``
+``preprocess_report``                           ``preprocess_report``
 ``overview_records``                            ``overview``
 ``overview_tables``                             ``overview_tables``
 ``phase_records(v)``/``baseline_records``       ``phase_slices[v]``
@@ -169,7 +170,8 @@ class StudyAnalysis:
 
     @property
     def preprocess_report(self) -> PreprocessReport:
-        return self._artifact("preprocess")[1]
+        """Preprocessing counts, loaded without the records on a warm run."""
+        return self._artifact("preprocess_report")
 
     # -- slicing -----------------------------------------------------------
 

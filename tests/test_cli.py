@@ -265,6 +265,14 @@ class TestBadLogInput:
         assert err.startswith("error: ")
         assert "missing.jsonl" in err
 
+    def test_analyze_missing_log_with_cache_dir(self, tmp_path, capsys):
+        log = tmp_path / "missing.jsonl"
+        argv = ["analyze", str(log), "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv + ["--experiments", "T4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "missing.jsonl" in err
+
     def test_convert_missing_source(self, tmp_path, capsys):
         target = tmp_path / "out.csv"
         missing = str(tmp_path / "nope.jsonl")

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.logs import io as log_io
 from repro.logs.io import write_jsonl
 from repro.simulation import SimulationEngine, quick_scenario
 
@@ -53,6 +55,44 @@ class TestAnalyzeCacheFlags:
         assert misses == 0
         assert hits > 0
         # Identical rendered output, cold or cached.
+        assert warm.out == cold.out
+
+    def test_warm_run_parses_no_row_and_loads_no_preprocess(
+        self, small_log, tmp_path, capsys, monkeypatch
+    ):
+        argv = ["analyze", str(small_log), "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+
+        rows = []
+        reader = log_io.read_jsonl
+
+        def counting(path):
+            for row in reader(path):
+                rows.append(row)
+                yield row
+
+        analyses = []
+        print_stats = cli._print_cache_stats
+
+        def capture(analysis, args):
+            analyses.append(analysis)
+            print_stats(analysis, args)
+
+        monkeypatch.setattr(log_io, "read_jsonl", counting)
+        monkeypatch.setattr(cli, "_print_cache_stats", capture)
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert rows == []
+        (analysis,) = analyses
+        assert analysis.cache_stats.misses == 0
+        assert "preprocess" not in analysis.cache_stats.stage_events
+        assert analysis.cache_stats.stage_events["preprocess_report"] == "hit"
+
+        def loaded(err):
+            return [line for line in err.splitlines() if line.startswith("loaded ")]
+
+        assert loaded(warm.err) == loaded(cold.err) != []
         assert warm.out == cold.out
 
     def test_no_cache_bypasses_reads(self, small_log, tmp_path, capsys):
@@ -152,6 +192,7 @@ class TestCacheSubcommand:
         assert stage_lines
         stages = {name for name, _, _ in stage_lines}
         assert "preprocess" in stages
+        assert "source-fingerprint" in stages  # the log's fingerprint memo
         total = int(re.search(r"bytes: ([\d,]+)", out).group(1).replace(",", ""))
         attributed = sum(
             int(size.replace(",", "")) for _, _, size in stage_lines
@@ -221,6 +262,9 @@ class TestCacheSubcommand:
             == 0
         )
         capsys.readouterr()
+        # The fingerprint memo is evicted with everything else.
+        assert main(["cache", "info", "--cache-dir", str(cache)]) == 0
+        assert "entries: 0" in capsys.readouterr().out
         # Everything misses, recomputes, and republishes.
         argv = [
             "analyze",

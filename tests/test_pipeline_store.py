@@ -12,6 +12,7 @@ bypass, concurrent runs sharing one cache directory).
 
 from __future__ import annotations
 
+import os
 import pickle
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -23,14 +24,18 @@ from hypothesis import strategies as st
 
 from repro.bots.profiles import build_profiles
 from repro.exceptions import PipelineError
+from repro.logs import io as log_io
 from repro.logs.columnar import RecordBatch
+from repro.logs.io import iter_log_records, write_log
 from repro.logs.schema import LogRecord
 from repro.pipeline import (
     ArtifactStore,
     PipelineConfig,
+    RecordSource,
     build_study_pipeline,
     fingerprint_stream,
 )
+from repro.pipeline.context import SOURCE_MEMO_STAGE
 from repro.pipeline.shard import shard_index
 from repro.pipeline.store import fingerprint_batch, stable_token
 from repro.simulation import quick_scenario
@@ -71,6 +76,7 @@ JOBS = 3
 CACHEABLE_STAGES = frozenset(
     {
         "preprocess",
+        "preprocess_report",
         "overview",
         "phase_slices",
         "directive_records",
@@ -441,6 +447,182 @@ class TestStoreFailureModes:
         assert warm.context.stats.misses == 0
 
 
+# -- the source-fingerprint memo ------------------------------------------
+
+
+@pytest.fixture()
+def rows_read(monkeypatch):
+    """Rows the JSONL and CLF readers yield, counted at the io dispatch."""
+    counts = {"rows": 0}
+
+    def counted(reader):
+        def spy(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                counts["rows"] += 1
+                yield row
+
+        return spy
+
+    for name in ("read_jsonl", "read_clf"):
+        monkeypatch.setattr(log_io, name, counted(getattr(log_io, name)))
+    return counts
+
+
+def _memoized(path, store, counts, fmt="jsonl", sitename="", asn=0):
+    """(fingerprint of a fresh file source via ``store``, rows parsed)."""
+    before = counts["rows"]
+    source = RecordSource.from_file(path, fmt, sitename, asn)
+    fingerprint = source.fingerprint(store)
+    return fingerprint, counts["rows"] - before
+
+
+def _fresh(path, fmt="jsonl", sitename="", asn=0):
+    return fingerprint_stream(
+        iter_log_records(path, fmt, sitename=sitename, asn=asn)
+    )
+
+
+def _memo_files(store):
+    return [
+        path
+        for path in store._object_files()
+        if store._stage_of(path) == SOURCE_MEMO_STAGE
+    ]
+
+
+class TestSourceFingerprintMemo:
+    @pytest.fixture()
+    def log(self, tmp_path):
+        path = tmp_path / "study.jsonl"
+        write_log(_seed_records(40), path, "jsonl")
+        return path
+
+    def test_unchanged_file_is_served_without_parsing(
+        self, log, tmp_path, rows_read
+    ):
+        store = ArtifactStore(tmp_path / "cache")
+        first, parsed = _memoized(log, store, rows_read)
+        assert parsed > 0
+        assert len(_memo_files(store)) == 1
+        os.utime(log)  # touch: new mtime, same bytes
+        again, parsed = _memoized(log, store, rows_read)
+        assert parsed == 0
+        assert again == first == _fresh(log)
+
+    def test_same_size_edit_with_restored_mtime_misses(
+        self, log, tmp_path, rows_read
+    ):
+        store = ArtifactStore(tmp_path / "cache")
+        before, _ = _memoized(log, store, rows_read)
+        stat = log.stat()
+        text = log.read_text("utf-8")
+        edited = text.replace("/people/faculty", "/people/facultY", 1)
+        assert edited != text and len(edited) == len(text)
+        log.write_text(edited, "utf-8")
+        os.utime(log, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert log.stat().st_size == stat.st_size
+        assert log.stat().st_mtime_ns == stat.st_mtime_ns
+        after, parsed = _memoized(log, store, rows_read)
+        assert parsed > 0
+        assert after == _fresh(log)
+        assert after.digest != before.digest
+
+    @pytest.mark.parametrize("change", ["truncate", "append"])
+    def test_truncate_and_append_miss(self, log, tmp_path, rows_read, change):
+        store = ArtifactStore(tmp_path / "cache")
+        before, _ = _memoized(log, store, rows_read)
+        lines = log.read_text("utf-8").splitlines(keepends=True)
+        if change == "truncate":
+            log.write_text("".join(lines[:-5]), "utf-8")
+        else:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.writelines(lines[:5])
+        after, parsed = _memoized(log, store, rows_read)
+        assert parsed == after.records > 0
+        assert after == _fresh(log)
+        assert after.records != before.records
+        # The new bytes got their own memo.
+        assert _memoized(log, store, rows_read)[1] == 0
+
+    def test_clf_site_and_asn_key_the_memo(self, tmp_path, rows_read):
+        log = tmp_path / "access.log"
+        write_log(_seed_records(40), log, "clf")
+        store = ArtifactStore(tmp_path / "cache")
+        first, parsed = _memoized(log, store, rows_read, "clf", "a.example", 1)
+        assert parsed > 0
+        assert first == _fresh(log, "clf", "a.example", 1)
+        for sitename, asn in (("b.example", 1), ("a.example", 2)):
+            other, parsed = _memoized(log, store, rows_read, "clf", sitename, asn)
+            assert parsed > 0
+            assert other == _fresh(log, "clf", sitename, asn)
+            assert other.digest != first.digest
+        again, parsed = _memoized(log, store, rows_read, "clf", "a.example", 1)
+        assert (again, parsed) == (first, 0)
+
+    def test_corrupted_memo_is_recomputed(self, log, tmp_path, rows_read):
+        store = ArtifactStore(tmp_path / "cache")
+        first, _ = _memoized(log, store, rows_read)
+        (memo,) = _memo_files(store)
+        memo.write_bytes(memo.read_bytes()[:-5])
+        again, parsed = _memoized(log, store, rows_read)
+        assert parsed > 0
+        assert again == first == _fresh(log)
+        assert _memoized(log, store, rows_read)[1] == 0  # republished
+
+    def test_no_cache_never_reads_the_memo_but_publishes_it(
+        self, log, tmp_path, rows_read
+    ):
+        refresher = ArtifactStore(tmp_path / "cache", read=False)
+        for _ in range(2):
+            fingerprint, parsed = _memoized(log, refresher, rows_read)
+            assert parsed > 0
+            assert fingerprint == _fresh(log)
+        reader = ArtifactStore(tmp_path / "cache")
+        assert _memoized(log, reader, rows_read) == (fingerprint, 0)
+
+    def test_file_changed_mid_parse_publishes_no_memo(
+        self, log, tmp_path, rows_read, monkeypatch
+    ):
+        tail = log.read_text("utf-8").splitlines(keepends=True)[:3]
+        reader = log_io.read_jsonl
+
+        def appending(path):
+            for index, row in enumerate(reader(path)):
+                if index == 0:
+                    with open(path, "a", encoding="utf-8") as handle:
+                        handle.writelines(tail)
+                yield row
+
+        monkeypatch.setattr(log_io, "read_jsonl", appending)
+        store = ArtifactStore(tmp_path / "cache")
+        RecordSource.from_file(log).fingerprint(store)
+        assert _memo_files(store) == []
+        monkeypatch.setattr(log_io, "read_jsonl", reader)
+        grown, parsed = _memoized(log, store, rows_read)
+        assert parsed > 0
+        assert grown == _fresh(log)
+
+    def test_memo_feeds_the_same_stage_keys(self, log, tmp_path, rows_read):
+        """A warm pipeline over an unchanged file parses no row."""
+
+        def pipeline(source):
+            return build_study_pipeline(
+                source=source, scenario=SCENARIO, cache_dir=tmp_path / "c"
+            )
+
+        cold = pipeline(RecordSource.from_file(log))
+        cold.run(["category_table", "preprocess_report"])
+        listed = pipeline(list(iter_log_records(log)))
+        listed.run(["category_table"])
+        assert listed.context.stats.misses == 0
+        before = rows_read["rows"]
+        warm = pipeline(RecordSource.from_file(log))
+        warm.run(["category_table", "preprocess_report"])
+        assert rows_read["rows"] == before
+        assert warm.context.stats.misses == 0
+        assert "preprocess" not in warm.context.stats.stage_events
+
+
 # -- integration touchpoints ---------------------------------------------
 
 
@@ -450,11 +632,14 @@ class TestIntegration:
 
         first = StudyAnalysis(quick_dataset, cache_dir=tmp_path)
         table_cold = first.category_table
+        report_cold = first.preprocess_report
         assert first.cache_stats.published > 0
 
         second = StudyAnalysis(quick_dataset, cache_dir=tmp_path)
         assert second.cache_stats.stage_events == {}  # construction is lazy
         assert second.category_table.cells == table_cold.cells
+        # The record count comes from its own small artifact.
+        assert second.preprocess_report == report_cold
         assert "preprocess" not in second.cache_stats.stage_events
         assert len(second.records) == len(first.records)
         assert second.cache_stats.stage_events["preprocess"] == "hit"
