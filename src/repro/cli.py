@@ -281,12 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RPS",
         help="enable the enforce endpoint's rate limiter at RPS tokens/s",
     )
-    serve.add_argument(
-        "--asgi",
-        action="store_true",
-        help="serve via uvicorn (requires the [serve] extra) instead of "
-        "the stdlib asyncio server",
-    )
 
     worker = commands.add_parser(
         "worker",
@@ -677,7 +671,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .deterrence.ratelimit import RateLimiter
     from .robots.cache import DEFAULT_TTL_SECONDS
-    from .service import DecisionService, run_uvicorn, serve
+    from .service import DecisionService, serve
 
     limiter = None
     if args.rate_limit is not None:
@@ -690,9 +684,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ttl_seconds=args.ttl if args.ttl is not None else DEFAULT_TTL_SECONDS,
         limiter=limiter,
     )
-    if args.asgi:
-        run_uvicorn(service, host=args.host, port=args.port)
-        return 0
     try:
         asyncio.run(serve(service, host=args.host, port=args.port))
     except KeyboardInterrupt:

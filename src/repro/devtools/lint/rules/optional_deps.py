@@ -1,11 +1,13 @@
 """RPR006: optional-extra imports must be guarded.
 
-``pyarrow`` (the ``[parquet]`` extra) and ``uvicorn`` (the ``[serve]``
-extra) are optional — the package promises a stdlib-only core.  An
-unguarded import of either anywhere under ``repro.*`` turns every
-entry point that transitively imports that module into a hard crash on
-the majority install, instead of the documented
-:class:`~repro.exceptions.MissingDependencyError` degrade.
+``pyarrow`` (the ``[parquet]`` extra) is optional — the package
+promises a stdlib-only core.  An unguarded import of it anywhere under
+``repro.*`` turns every entry point that transitively imports that
+module into a hard crash on the majority install, instead of the
+documented :class:`~repro.exceptions.MissingDependencyError` degrade.
+``uvicorn`` stays on the list although no extra ships it any more: the
+decision service is stdlib-only, and an unguarded import of it must
+not creep back in.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _optional_root(node: ast.stmt) -> str | None:
 @rule(
     "RPR006",
     "unguarded-optional-import",
-    "optional extras (pyarrow, uvicorn) may only be imported inside "
+    "optional dependencies (pyarrow, uvicorn) may only be imported inside "
     "try/except ImportError guards that degrade to "
     "MissingDependencyError",
 )

@@ -1,11 +1,12 @@
 """RPR003/RPR004: shard-mapped code must be parallel-safe.
 
-``ShardStage`` workers run once per shard on a *process* executor:
-mutating module-level state inside one is invisible to the coordinator
-and to sibling shards (and a silent race on the thread executor), so
-sharded == sequential parity quietly dies.  Lambdas and closures can't
-even get that far — ``pickle`` refuses them, but only at ``--jobs 4``
-runtime, which is exactly when nobody is watching.
+``ShardStage`` workers run once per shard on a *process* executor (or
+a ``queue`` worker on another host): mutating module-level state inside
+one is invisible to the coordinator and to sibling shards, while the
+``inline`` executor leaks it from one shard into the next, so sharded
+== sequential parity quietly dies.  Lambdas and closures can't even get
+that far — ``pickle`` refuses them, but only at ``--jobs 4`` runtime,
+which is exactly when nobody is watching.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _mutations(decl: "FunctionDecl") -> Iterator[tuple[ast.AST, str]]:
     "RPR003",
     "shard-global-mutation",
     "shard worker code must not mutate module-level state "
-    "(invisible across processes; a race on threads)",
+    "(invisible across processes; leaks between inline shards)",
 )
 def check_shard_mutation(project: "Project") -> Iterator[Finding]:
     graph = project.callgraph

@@ -222,8 +222,9 @@ class RobotsObservatory:
         snapshots parse, compile and probe independently, and the
         (site, text) payloads are tiny relative to the per-snapshot
         evaluation work.  With ``jobs > 1`` the sites are chunked onto
-        the pipeline shard executor (worker processes by default);
-        results are identical to calling
+        the pipeline shard executor (worker processes by default;
+        ``executor`` is ``process`` or ``inline``, checked even when at
+        most one site is pending); results are identical to calling
         :meth:`restrictiveness_series` per site and keep the input
         site order.
 
@@ -233,8 +234,9 @@ class RobotsObservatory:
         weekly re-diff pattern: recording a new snapshot for one site
         recomputes only that site, every other site loads from disk.
         """
-        from .pipeline.shard import chunk_evenly, run_sharded
+        from .pipeline.shard import check_executor, chunk_evenly, run_sharded
 
+        check_executor(executor)
         chosen = list(sites) if sites is not None else self.sites()
         store = None
         if cache_dir is not None:

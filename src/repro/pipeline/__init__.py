@@ -21,7 +21,8 @@ the contract:
 
 **Sharding** (:mod:`repro.pipeline.shard`)
     Deterministic crc32 hash partitioning by site (or IP), an
-    order-restoring merge, and process/thread/inline executors.  The
+    order-restoring merge, and the process/inline executors (plus the
+    ``queue`` spool of :mod:`repro.distributed`).  The
     parity guarantee — sharded output == sequential output, enforced
     by property tests — is a design invariant: merges consume
     mergeable statistics (counters, sets) and restore original stream

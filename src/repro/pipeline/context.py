@@ -6,8 +6,8 @@ Three small objects shared by every stage of a pipeline run:
     How to execute — worker count (``jobs``), the shard key
     (``shard_by``: ``site`` partitions by ``sitename``, ``ip`` by
     ``ip_hash``), and the shard executor backend (``process`` for true
-    parallelism, ``thread`` for GIL-bound concurrency, ``inline`` for
-    deterministic in-process debugging).
+    parallelism, ``inline`` for deterministic in-process runs, ``queue``
+    for a filesystem spool served by worker processes).
 
 :class:`RecordSource`
     A row stream re-read on every pass: one zero-argument callable returning an
@@ -51,7 +51,7 @@ SHARD_BY_CHOICES: tuple[str, ...] = tuple(SHARD_KEY_COLUMNS)
 #: Valid shard executor backends.  ``queue`` dispatches shard work to
 #: a filesystem-spool task queue (:mod:`repro.distributed`) consumed by
 #: worker processes on this or other hosts; it requires ``spool``.
-EXECUTOR_CHOICES: tuple[str, ...] = ("process", "thread", "inline", "queue")
+EXECUTOR_CHOICES: tuple[str, ...] = ("process", "inline", "queue")
 
 #: Version of the bytes -> rows mapping of the log readers.  It keys the
 #: source-fingerprint memo, so bump it whenever a reader change can

@@ -20,11 +20,11 @@ the configured backend:
     where available) — true parallelism for the CPU-bound enrichment
     and policy-evaluation work.  Workers must be picklable
     (module-level functions or :func:`functools.partial` of one).
-``thread``
-    A thread pool — cheap to spin up, shares record objects, used by
-    property tests and IO-bound workers.
 ``inline``
-    A plain loop in the calling thread — deterministic debugging.
+    A plain loop in the calling thread — deterministic, cheap for
+    tests and debugging.
+
+(The ``queue`` backend lives in :mod:`repro.distributed.coordinator`.)
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import multiprocessing
 import zlib
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import TypeVar
 
 from ..exceptions import PipelineError
@@ -211,6 +211,16 @@ def chunk_evenly(items: Sequence[_P], parts: int) -> list[list[_P]]:
     return chunks
 
 
+def check_executor(executor: str) -> None:
+    """Raise :class:`PipelineError` unless :func:`run_sharded` accepts
+    ``executor``.  The ``queue`` backend is
+    :func:`repro.distributed.coordinator.run_sharded_queue`."""
+    if executor not in ("process", "inline"):
+        raise PipelineError(
+            f"unknown executor {executor!r}; choose 'process' or 'inline'"
+        )
+
+
 def _process_context():
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
@@ -226,18 +236,14 @@ def run_sharded(
 ) -> list[_R]:
     """Run ``worker`` over each payload, results aligned with inputs.
 
-    ``jobs <= 1``, a single payload, or ``executor="inline"`` all
-    degrade to a plain loop — no pool, no pickling, no threads.
+    ``executor`` is checked (:func:`check_executor`) before anything
+    runs.  ``jobs <= 1``, a single payload, or ``executor="inline"``
+    all degrade to a plain loop — no pool, no pickling.
     """
+    check_executor(executor)
     if jobs <= 1 or len(payloads) <= 1 or executor == "inline":
         return [worker(payload) for payload in payloads]
-    workers = min(jobs, len(payloads))
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, payloads))
-    if executor != "process":
-        raise PipelineError(f"unknown executor {executor!r}")
     with ProcessPoolExecutor(
-        max_workers=workers, mp_context=_process_context()
+        max_workers=min(jobs, len(payloads)), mp_context=_process_context()
     ) as pool:
         return list(pool.map(worker, payloads))

@@ -70,8 +70,8 @@ class StudyAnalysis:
             runs fully sequentially.  Sharded (``jobs > 1``) and
             sequential runs produce byte-identical artifacts.
         shard_by: hash-partition key, ``"site"`` or ``"ip"``.
-        executor: shard backend (``process``/``thread``/``inline``/
-            ``queue``; ``queue`` requires ``spool``).
+        executor: shard backend (``process``/``inline``/``queue``;
+            ``queue`` requires ``spool``).
         spool: spool directory for the ``queue`` executor — shared
             with any ``repro-study worker`` processes serving it.
         workers: local worker processes the ``queue`` executor spawns

@@ -12,7 +12,7 @@ The grid becomes a three-stage graph:
 
 ``cells`` (shard stage)
     Maps :func:`_cell_worker` over the shards on the configured
-    executor — ``--jobs N`` processes, threads, inline, or the
+    executor — ``--jobs N`` processes, inline, or the
     distributed ``queue`` spool from :mod:`repro.distributed`.  The
     runner's per-shard cache keys each cell on *its own spec only*:
     editing one deterrence knob re-fingerprints exactly the cells

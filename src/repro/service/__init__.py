@@ -2,13 +2,12 @@
 
 The long-running policy decision point in front of the compiled
 robots engine — see :mod:`repro.service.core` for the design and
-:mod:`repro.service.http` / :mod:`repro.service.asgi` for the two
-transports.  ``repro-study serve`` is the CLI entry point;
+:mod:`repro.service.http` for the transport, a stdlib asyncio
+HTTP/1.1 server.  ``repro-study serve`` is the CLI entry point;
 ``benchmarks/test_service_bench.py`` is the load harness that gates
 its throughput and tail latency in CI.
 """
 
-from .asgi import create_app, create_app_from_corpus, run_uvicorn
 from .core import (
     DecisionService,
     EndpointCounter,
@@ -32,11 +31,8 @@ __all__ = [
     "ServiceProtocol",
     "ServiceRouter",
     "corpus_resolver",
-    "create_app",
-    "create_app_from_corpus",
     "directory_resolver",
     "encode",
-    "run_uvicorn",
     "serve",
     "static_resolver",
 ]

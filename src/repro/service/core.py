@@ -6,8 +6,7 @@ every request crossing the wire.  Production robots deployments
 (Google's robots.txt parser fleet, Common Crawl's politeness layer)
 run this as a long-lived service: one shared compiled-policy cache in
 front of millions of per-request checks.  This module is that service,
-transport-free; :mod:`repro.service.http` and
-:mod:`repro.service.asgi` put sockets in front of it.
+transport-free; :mod:`repro.service.http` puts a socket in front of it.
 
 Three layers:
 
@@ -98,10 +97,19 @@ def directory_resolver(root: Path) -> Resolver:
     Reading at resolve time (not startup) means edits are picked up on
     the next TTL refresh — and byte-identical re-reads still skip
     recompilation via the cache.
+
+    ``origin`` comes straight off the wire, so it must be one path
+    component: an empty origin, ``.``, ``..``, or one containing ``/``,
+    ``\\`` or NUL raises :class:`ServiceError` (a counted resolve
+    failure, answered 502) instead of opening a file outside ``root``.
     """
     base = Path(root)
 
     def resolve(origin: str) -> str | None:
+        if origin in ("", ".", "..") or any(c in origin for c in "/\\\0"):
+            raise ServiceError(
+                f"origin {origin!r} is not a single path component"
+            )
         candidate = base / f"{origin}.txt"
         if not candidate.is_file():
             return None
@@ -259,8 +267,8 @@ class EndpointCounter:
 class DecisionService:
     """The transport-independent decision endpoints.
 
-    Every method takes and returns plain JSON-shaped values so the
-    stdlib HTTP layer and the ASGI app share one implementation; the
+    Every method takes and returns plain JSON-shaped values, so the
+    HTTP layer stays a thin framing shim over one implementation; the
     verdict payloads are deterministic functions of the inputs and the
     robots corpus (cache state never leaks into them — coalesced,
     cached, and cold answers are byte-identical once serialized).

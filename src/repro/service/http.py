@@ -20,8 +20,6 @@ order of how much throughput they buy:
 This is deliberately *not* a general HTTP server (no chunked bodies,
 no TLS, no 100-continue); it is the measurement substrate's policy
 sidecar, speaking exactly the dialect its clients and benchmark use.
-An ASGI app (:mod:`repro.service.asgi`) covers the
-general-server case when uvicorn is installed.
 """
 
 from __future__ import annotations

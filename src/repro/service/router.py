@@ -1,11 +1,12 @@
 """Transport-independent request routing for the decision service.
 
-Both front ends — the stdlib asyncio HTTP server and the ASGI app —
-dispatch through one :class:`ServiceRouter`, so a verdict is the same
-bytes no matter which transport carried it.  The router also owns the
-**sync fast path**: a warm-cache ``GET /can_fetch`` (the overwhelming
-steady-state case) is answered without creating a task or suspending,
-which is where the wire-speed budget goes.
+The stdlib asyncio HTTP server (:mod:`repro.service.http`) dispatches
+through one :class:`ServiceRouter`, which keeps framing apart from
+routing: a verdict's bytes are decided here, not by the transport.  The
+router also owns the **sync fast path**: a warm-cache ``GET
+/can_fetch`` (the overwhelming steady-state case) is answered without
+creating a task or suspending, which is where the wire-speed budget
+goes.
 
 Endpoints:
 

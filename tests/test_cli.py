@@ -131,6 +131,9 @@ class TestCountAndChoiceValidation:
             ),
             (["scenarios", "run", "--workers", "-1"], "--workers: must be >= 0"),
             (["analyze", "LOG", "--jobs", "two"], "invalid int value: 'two'"),
+            (["analyze", "LOG", "--executor", "thread"], "invalid choice: 'thread'"),
+            (["scenarios", "run", "--executor", "thread"], "invalid choice"),
+            (["serve", "--asgi"], "unrecognized arguments: --asgi"),
         ],
     )
     def test_bad_count_exits_2_with_usage(self, tmp_path, capsys, argv, message):
@@ -158,6 +161,7 @@ class TestCountAndChoiceValidation:
         from repro.pipeline.shard import SHARD_KEY_COLUMNS
 
         assert SHARD_BY_CHOICES == tuple(SHARD_KEY_COLUMNS)
+        assert EXECUTOR_CHOICES == ("process", "inline", "queue")
         subparsers = build_parser()._subparsers._group_actions[0].choices
         options = {
             (command, action.dest): tuple(action.choices)

@@ -1,5 +1,6 @@
 """Unit tests for the Stage/Pipeline contract and the shard layer."""
 
+import threading
 import zlib
 
 import pytest
@@ -45,6 +46,11 @@ def counting_stage(name, calls, deps=(), value=None):
         return value if value is not None else name
 
     return FunctionStage(name=name, fn=fn, deps=deps)
+
+
+def _total(items):
+    """Module-level (picklable) shard worker for the process executor."""
+    return sum(items)
 
 
 class TestPipelineGraph:
@@ -119,7 +125,7 @@ class TestPipelineExecution:
         assert calls == ["b"]
         assert pipeline.context.artifact("a") == "injected"
 
-    def test_concurrent_run_executes_each_stage_once(self):
+    def test_run_at_jobs_4_executes_each_stage_once(self):
         calls = []
         stages = [counting_stage(f"s{i}", calls) for i in range(6)]
         stages.append(
@@ -161,6 +167,89 @@ class TestPipelineExecution:
         pipeline = Pipeline([counting_stage("a", [])])
         with pytest.raises(PipelineError):
             pipeline.get("nope")
+
+
+class _WatchedFutures(dict):
+    """``Pipeline._futures`` stand-in that signals when a caller finds
+    an in-flight future, i.e. has joined it as a waiter."""
+
+    def __init__(self):
+        super().__init__()
+        self.joined = threading.Event()
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is not None:
+            self.joined.set()
+        return value
+
+
+class TestPipelineSingleFlight:
+    """Two threads calling ``get`` on one ``Pipeline`` share one run."""
+
+    def _held_pipeline(self, fn):
+        pipeline = Pipeline([FunctionStage("held", fn)])
+        pipeline._futures = _WatchedFutures()
+        return pipeline
+
+    def _race(self, pipeline, started, release):
+        """Call ``get`` from two threads while the stage is held;
+        return each thread's result or exception, in start order."""
+        outcomes = [None, None]
+
+        def call(slot):
+            try:
+                outcomes[slot] = pipeline.get("held")
+            except Exception as exc:
+                outcomes[slot] = exc
+
+        owner = threading.Thread(target=call, args=(0,))
+        waiter = threading.Thread(target=call, args=(1,))
+        owner.start()
+        assert started.wait(10)
+        waiter.start()
+        assert pipeline._futures.joined.wait(10)
+        release.set()
+        owner.join(10)
+        waiter.join(10)
+        assert not owner.is_alive() and not waiter.is_alive()
+        return outcomes
+
+    def test_concurrent_get_runs_the_stage_once(self):
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def held(context):
+            calls.append(1)
+            started.set()
+            assert release.wait(10)
+            return object()
+
+        pipeline = self._held_pipeline(held)
+        first, second = self._race(pipeline, started, release)
+        assert len(calls) == 1
+        assert first is second
+        assert pipeline.get("held") is first
+
+    def test_failed_stage_raises_to_both_callers_then_retries(self):
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def held(context):
+            calls.append(1)
+            if len(calls) == 1:
+                started.set()
+                assert release.wait(10)
+                raise ValueError("boom")
+            return "ok"
+
+        pipeline = self._held_pipeline(held)
+        first, second = self._race(pipeline, started, release)
+        assert isinstance(first, ValueError)
+        assert second is first
+        assert len(calls) == 1
+        assert pipeline.get("held") == "ok"
+        assert len(calls) == 2
 
 
 class TestRecordSource:
@@ -255,15 +344,46 @@ class TestSharding:
         assert [len(chunk) for chunk in chunks] == [4, 3, 3]
         assert [x for chunk in chunks for x in chunk] == list(range(10))
 
+    @pytest.mark.parametrize("executor", ["thread", "bogus"])
+    def test_config_rejects_unknown_executor(self, executor):
+        with pytest.raises(PipelineError, match="executor must be one of"):
+            PipelineConfig(executor=executor)
+
     def test_run_sharded_backends_agree(self):
         payloads = [[1, 2], [3], [4, 5, 6]]
+        sequential = run_sharded(_total, payloads, jobs=1)
+        inline = run_sharded(_total, payloads, jobs=3, executor="inline")
+        process = run_sharded(_total, payloads, jobs=3, executor="process")
+        assert sequential == inline == process == [3, 3, 15]
 
-        def total(items):
-            return sum(items)
+    @pytest.mark.parametrize("executor", ["thread", "queue", "bogus"])
+    @pytest.mark.parametrize(
+        "jobs, payloads", [(1, [[1], [2]]), (4, [[1]]), (2, [[1], [2]])]
+    )
+    def test_run_sharded_checks_executor_before_running(
+        self, executor, jobs, payloads
+    ):
+        ran = []
 
-        inline = run_sharded(total, payloads, jobs=1)
-        threaded = run_sharded(total, payloads, jobs=3, executor="thread")
-        assert inline == threaded == [3, 3, 15]
+        def worker(items):
+            ran.append(items)
+            return items
+
+        with pytest.raises(PipelineError, match="'process' or 'inline'"):
+            run_sharded(worker, payloads, jobs=jobs, executor=executor)
+        assert ran == []
+
+    @pytest.mark.parametrize("sites", [0, 1, 3])
+    def test_observatory_batch_checks_executor_whatever_is_pending(
+        self, sites
+    ):
+        from repro.observatory import RobotsObservatory
+
+        observatory = RobotsObservatory()
+        for index in range(sites):
+            observatory.record(f"s{index}.example", 0.0, "User-agent: *\n")
+        with pytest.raises(PipelineError, match="unknown executor 'thread'"):
+            observatory.batch_tightening_slopes(jobs=2, executor="thread")
 
 
 class TestPartialScenario:

@@ -4,7 +4,8 @@ The pipeline's headline guarantee is that ``jobs=N`` and ``jobs=1``
 produce *identical* artifacts — same Table-5 cells, same per-bot
 results, same preprocess report counts — for any input.  A property
 test exercises the partition/merge machinery over randomized datasets
-(thread executor: cheap enough for many hypothesis examples), and an
+(inline executor: the same partition/merge path at ``jobs > 1``, cheap
+enough for many hypothesis examples), and an
 integration test runs real worker processes over the shared quick
 dataset comparing rendered tables byte for byte.
 """
@@ -86,7 +87,7 @@ def test_sharded_equals_sequential_on_random_datasets(records):
     sharded = build_study_pipeline(
         source=list(records),
         scenario=SCENARIO,
-        config=PipelineConfig(jobs=3, executor="thread"),
+        config=PipelineConfig(jobs=3, executor="inline"),
     )
     seq_records, seq_report = sequential.get("preprocess")
     shard_records, shard_report = sharded.get("preprocess")
@@ -117,7 +118,7 @@ def test_parity_holds_for_any_shard_count_and_key(records, jobs, shard_by):
     sharded = build_study_pipeline(
         source=list(records),
         scenario=SCENARIO,
-        config=PipelineConfig(jobs=jobs, shard_by=shard_by, executor="thread"),
+        config=PipelineConfig(jobs=jobs, shard_by=shard_by, executor="inline"),
     )
     assert sharded.get("preprocess")[1] == sequential.get("preprocess")[1]
     assert sharded.get("per_bot") == sequential.get("per_bot")
@@ -162,7 +163,7 @@ class TestObservatoryBatchParity:
             jobs=2, executor="process"
         )
         assert batched == sequential
-        slopes = observatory.batch_tightening_slopes(jobs=2, executor="thread")
+        slopes = observatory.batch_tightening_slopes(jobs=2, executor="inline")
         assert slopes == {
             site: observatory.tightening_slope(site)
             for site in observatory.sites()

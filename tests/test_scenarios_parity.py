@@ -41,12 +41,6 @@ class TestExecutionModeParity:
             == baseline
         )
 
-    def test_thread_executor_matches_inline(self, baseline):
-        assert (
-            _result_bytes(run_matrix(GRID, jobs=4, executor="thread"))
-            == baseline
-        )
-
     def test_process_executor_matches_inline(self, baseline):
         assert (
             _result_bytes(run_matrix(GRID, jobs=2, executor="process"))
@@ -85,7 +79,7 @@ class TestCrossModeCache:
 
     def test_cache_written_at_jobs_4_serves_jobs_1(self, baseline, tmp_path):
         cache = str(tmp_path / "cache")
-        run_matrix(GRID, jobs=4, executor="thread", cache_dir=cache)
+        run_matrix(GRID, jobs=4, executor="inline", cache_dir=cache)
         warm = run_matrix(GRID, jobs=1, executor="inline", cache_dir=cache)
         assert warm.computed == 0
         assert _result_bytes(warm) == baseline

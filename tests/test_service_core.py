@@ -183,6 +183,35 @@ class TestResolvers:
         )
         assert "Allow: /public" not in resolver("site.example")
 
+    @pytest.mark.parametrize("escape", ["relative", "absolute"])
+    def test_directory_resolver_never_reads_outside_root(self, tmp_path, escape):
+        root = tmp_path / "robots"
+        root.mkdir()
+        (root / "site.example.txt").write_text(ROBOTS, encoding="utf-8")
+        (tmp_path / "outside.txt").write_text(
+            "User-agent: *\nDisallow: /secret-rule\n", encoding="utf-8"
+        )
+        origin = (
+            "../outside" if escape == "relative" else str(tmp_path / "outside")
+        )
+        service = DecisionService(directory_resolver(root), clock=Clock())
+        with pytest.raises(ServiceError, match="single path component") as err:
+            run(service.can_fetch(origin, "x", "/secret-rule/a", explain=True))
+        assert "secret-rule" not in str(err.value)
+        assert service.provider.stats.resolve_failures == 1
+        verdict = run(
+            service.can_fetch("site.example", "x", "/private", explain=True)
+        )
+        assert verdict["allowed"] is False
+        assert verdict["reason"]
+
+    @pytest.mark.parametrize(
+        "origin", ["", ".", "..", "a/b", "/abs", "a\\b", "a\0b"]
+    )
+    def test_directory_resolver_rejects_non_components(self, tmp_path, origin):
+        with pytest.raises(ServiceError, match="single path component"):
+            directory_resolver(tmp_path)(origin)
+
 
 class TestDecisionService:
     def make(self, clock=None, **kwargs) -> DecisionService:

@@ -1,21 +1,19 @@
-"""Transport tests: stdlib HTTP server, ASGI app, CLI wiring."""
+"""Transport tests: stdlib HTTP server, CLI wiring."""
 
 from __future__ import annotations
 
 import asyncio
-import importlib.util
 import json
+from urllib.parse import quote
 
 import pytest
 
 from repro.cli import build_parser
-from repro.exceptions import MissingDependencyError
 from repro.service import (
     DecisionHTTPServer,
     DecisionService,
     ServiceRouter,
-    create_app,
-    run_uvicorn,
+    directory_resolver,
     static_resolver,
 )
 
@@ -262,6 +260,55 @@ class TestHTTPServer:
         assert status == 502
         assert "upstream gone" in payload["error"]
 
+    @pytest.mark.parametrize("escape", ["relative", "absolute"])
+    def test_robots_dir_origin_escape_is_502(self, tmp_path, escape):
+        root = tmp_path / "robots"
+        root.mkdir()
+        (root / "site.example.txt").write_text(ROBOTS, encoding="utf-8")
+        (tmp_path / "outside.txt").write_text(
+            "User-agent: *\nDisallow: /secret-rule\n", encoding="utf-8"
+        )
+        origin = (
+            "../outside" if escape == "relative" else str(tmp_path / "outside")
+        )
+
+        async def runner():
+            service = DecisionService(
+                directory_resolver(root), clock=lambda: 0.0
+            )
+            server = DecisionHTTPServer(service, port=0)
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                escaped = await request(
+                    reader,
+                    writer,
+                    "GET",
+                    f"/can_fetch?origin={quote(origin)}&agent=x"
+                    "&path=/secret-rule/a&explain=1",
+                )
+                inside = await request(
+                    reader,
+                    writer,
+                    "GET",
+                    "/can_fetch?origin=site.example&agent=x&path=/public"
+                    "&explain=1",
+                )
+                stats = await request(reader, writer, "GET", "/stats")
+                writer.close()
+                return escaped, inside, stats
+            finally:
+                await server.stop()
+
+        escaped, inside, stats = asyncio.run(runner())
+        assert escaped[0] == 502
+        assert "single path component" in escaped[1]["error"]
+        assert "secret-rule" not in json.dumps(escaped[1])
+        assert "reason" not in escaped[1]
+        assert inside[0] == 200 and inside[1]["allowed"] is True
+        assert inside[1]["reason"]
+        assert stats[1]["provider"]["resolve_failures"] == 1
+
     def test_connection_close_honored(self):
         async def scenario(host, port, service):
             reader, writer = await asyncio.open_connection(host, port)
@@ -340,86 +387,6 @@ class TestHTTPServer:
         assert "secret /etc/detail" in logged  # traceback stays server-side
 
 
-class TestASGIApp:
-    @staticmethod
-    async def call(app, method, path, query=b"", body=b""):
-        messages = [{"type": "http.request", "body": body}]
-        sent: list[dict] = []
-
-        async def receive():
-            return messages.pop(0)
-
-        async def send(message):
-            sent.append(message)
-
-        scope = {
-            "type": "http",
-            "method": method,
-            "path": path,
-            "query_string": query,
-        }
-        await app(scope, receive, send)
-        status = sent[0]["status"]
-        payload = json.loads(sent[1]["body"])
-        return status, payload
-
-    def test_http_scope_can_fetch(self):
-        app = create_app(make_service())
-        status, payload = asyncio.run(
-            self.call(
-                app,
-                "GET",
-                "/can_fetch",
-                b"origin=s.example&agent=GPTBot&path=/secret",
-            )
-        )
-        assert status == 200
-        assert payload["allowed"] is False
-
-    def test_http_scope_post_body(self):
-        app = create_app(make_service())
-        body = json.dumps(
-            {"origin": "s.example", "agent": "B", "paths": ["/public"]}
-        ).encode()
-        status, payload = asyncio.run(
-            self.call(app, "POST", "/can_fetch_many", b"", body)
-        )
-        assert status == 200
-        assert payload["allowed"] == [True]
-
-    def test_lifespan_acks(self):
-        app = create_app(make_service())
-
-        async def scenario():
-            messages = [
-                {"type": "lifespan.startup"},
-                {"type": "lifespan.shutdown"},
-            ]
-            acks = []
-
-            async def receive():
-                return messages.pop(0)
-
-            async def send(message):
-                acks.append(message["type"])
-
-            await app({"type": "lifespan"}, receive, send)
-            return acks
-
-        assert asyncio.run(scenario()) == [
-            "lifespan.startup.complete",
-            "lifespan.shutdown.complete",
-        ]
-
-    @pytest.mark.skipif(
-        importlib.util.find_spec("uvicorn") is not None,
-        reason="uvicorn installed: degrade path not reachable",
-    )
-    def test_run_uvicorn_degrades_without_extra(self):
-        with pytest.raises(MissingDependencyError, match=r"\[serve\]"):
-            run_uvicorn(make_service())
-
-
 class TestServeCLI:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -427,7 +394,6 @@ class TestServeCLI:
         assert args.port == 8041
         assert args.robots == []
         assert args.robots_dir is None
-        assert not args.asgi
 
     def test_robots_binding_parsing(self, tmp_path):
         from repro.cli import _serve_resolver
