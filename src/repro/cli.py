@@ -38,7 +38,7 @@ Subcommands:
 
 Incremental analysis: ``analyze``/``report`` accept ``--cache-dir`` to
 persist stage artifacts between runs.  Cached artifacts are keyed by a
-streaming fingerprint of the input log (hashed in chunks, so appended
+content fingerprint of the input log (hashed in chunks, so appended
 records only invalidate trailing chunks), each stage's code token, and
 the transitive fingerprints of its dependencies; re-running over an
 unchanged log loads every artifact from disk, and appending records
@@ -493,7 +493,7 @@ def _print_experiments(analysis: StudyAnalysis, wanted: list[str] | None) -> int
 
 
 def _record_reader(args: argparse.Namespace) -> RecordSource:
-    """A row source over ``args.log`` in ``args.format``, re-read per pass."""
+    """A row source over ``args.log`` in ``args.format``, parsed once."""
     return RecordSource.from_file(args.log, args.format, args.site, args.asn)
 
 
@@ -667,7 +667,13 @@ def _serve_resolver(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve until SIGINT or SIGTERM, then close the listener and exit 0.
+
+    SIGTERM gets its own handler because a child started from a
+    background shell inherits SIGINT ignored.
+    """
     import asyncio
+    import signal
 
     from .deterrence.ratelimit import RateLimiter
     from .robots.cache import DEFAULT_TTL_SECONDS
@@ -684,9 +690,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ttl_seconds=args.ttl if args.ttl is not None else DEFAULT_TTL_SECONDS,
         limiter=limiter,
     )
+
+    async def serve_until_terminated() -> None:
+        # Cancelling the task runs serve()'s cleanup, which closes the
+        # listener, and asyncio.run() then raises CancelledError.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+        await serve(service, host=args.host, port=args.port)
+
     try:
-        asyncio.run(serve(service, host=args.host, port=args.port))
-    except KeyboardInterrupt:
+        asyncio.run(serve_until_terminated())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down", file=sys.stderr)
     return 0
 

@@ -158,13 +158,11 @@ class Preprocessor:
         scanner_ips: set[str],
         input_records: int | None = None,
     ) -> tuple[list[LogRecord], PreprocessReport]:
-        """The enrichment half of :meth:`run`: one streaming pass.
+        """The enrichment half of :meth:`run`: one pass over ``records``
+        with ``scanner_ips`` already known.
 
-        Callers that computed ``scanner_ips`` from a prior streaming
-        pass (or a shard merge) feed records here without ever holding
-        the raw corpus in memory; only the surviving records are
-        retained.  ``input_records`` is counted during iteration when
-        not supplied.
+        Only the surviving records are retained.  ``input_records`` is
+        counted during iteration when not supplied.
         """
         report = PreprocessReport(scanner_ips=scanner_ips)
         seen = 0

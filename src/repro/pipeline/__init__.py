@@ -28,12 +28,15 @@ the contract:
     mergeable statistics (counters, sets) and restore original stream
     order before any order-sensitive reduction runs.
 
-**Streaming** (:class:`~repro.pipeline.context.RecordSource`)
-    One row stream, re-read on every pass: stages consume ``Iterable[LogRecord]``
-    fed straight from an ``iter_log_records(path, format)`` factory
-    (or replayed from an in-memory list), one pass at a time.  Column
-    batches appear only where the pipeline hashes or gathers by column:
-    the source fingerprint and the shard partitioner.
+**Record source** (:class:`~repro.pipeline.context.RecordSource`)
+    One row source, parsed at most once per run: the first pass that
+    needs every row (the fingerprint, sequential preprocessing) keeps
+    the rows of an ``iter_log_records(path, format)`` factory, and
+    later passes replay them; an in-memory list is replayed as-is.
+    A run with no store and ``jobs > 1`` streams the factory once
+    through the shard partitioner without holding it.  Column batches
+    appear only where the pipeline hashes or gathers by column: the
+    source fingerprint and the shard partitioner.
 
 **Study stages** (:mod:`repro.pipeline.stages`)
     The paper's §4 chain as a prebuilt DAG

@@ -10,13 +10,16 @@ Three small objects shared by every stage of a pipeline run:
     for a filesystem spool served by worker processes).
 
 :class:`RecordSource`
-    A row stream re-read on every pass: one zero-argument callable returning an
-    iterable of records.  A log file (:meth:`RecordSource.from_file`)
-    is streamed from disk on every pass and never held whole; a list is
-    replayed as-is.  Stages consume it via :meth:`stream`; the shard
-    partitioner and the fingerprint pack rows into column batches on
-    the fly.  A file source memoizes its fingerprint in the artifact
-    store, keyed by the file's raw bytes, so a warm run never parses it.
+    A row source parsed at most once per run: one zero-argument
+    callable returning an iterable of records.  The first pass that
+    needs every row (the fingerprint, sequential preprocessing) holds
+    them via :meth:`RecordSource.rows`, and later passes replay that
+    list; a list source is replayed as-is.  A pass that comes first
+    and only streams (the no-store shard partitioner) reads the
+    factory without holding it.  A file source
+    (:meth:`RecordSource.from_file`) memoizes its fingerprint in the
+    artifact store, keyed by the file's raw bytes, so a warm run never
+    parses it.
 
 :class:`PipelineContext`
     The artifact store stages read from and the runner writes to, plus
@@ -119,17 +122,20 @@ class PipelineConfig:
 
 
 class RecordSource:
-    """A log-record source stages can stream from more than once.
+    """A log-record source stages can read more than once.
 
     Wraps exactly one zero-argument callable returning an iterable of
-    records; every :meth:`stream` call re-invokes it.  Construct via
-    :meth:`of`, which accepts:
+    records.  :meth:`rows` calls it once and keeps the list; after
+    that, :meth:`stream` and :meth:`batches` replay the list, and
+    before it each of them re-invokes the factory.  So one run parses
+    a log file once, and all of its passes see the same rows even if
+    the file grows meanwhile.  Construct via :meth:`of`, which accepts:
 
     - another :class:`RecordSource` (returned unchanged);
     - a ``list`` of records (replayed as-is, zero copies: stages see
       the caller's own objects);
     - a zero-argument callable returning an iterable (e.g. ``lambda:
-      iter_log_records(path, "csv")``), re-run on every pass;
+      iter_log_records(path, "csv")``);
     - any other iterable (consumed once into a list immediately, since
       a bare iterator cannot be replayed).
 
@@ -137,10 +143,11 @@ class RecordSource:
     can be memoized in an artifact store.
     """
 
-    __slots__ = ("_factory", "_fingerprint", "_path", "_reader_args")
+    __slots__ = ("_factory", "_rows", "_fingerprint", "_path", "_reader_args")
 
     def __init__(self, factory: Callable[[], Iterable[LogRecord]]) -> None:
         self._factory = factory
+        self._rows: list[LogRecord] | None = None
         self._fingerprint: SourceFingerprint | None = None
         self._path: Path | None = None
         self._reader_args: tuple[str, ...] = ()
@@ -153,7 +160,7 @@ class RecordSource:
         sitename: str = "",
         asn: int = 0,
     ) -> "RecordSource":
-        """A source re-reading one log file per pass.
+        """A source over one log file, parsed on its first full pass.
 
         The arguments are :func:`~repro.logs.io.iter_log_records`'s;
         they also key the fingerprint memo (see :meth:`fingerprint`).
@@ -177,9 +184,20 @@ class RecordSource:
         records = source if isinstance(source, list) else list(source)
         return cls(lambda: records)
 
+    def rows(self) -> list[LogRecord]:
+        """Every record, read from the factory once and then kept.
+
+        A factory that returns a list hands it over uncopied.
+        """
+        if self._rows is None:
+            rows = self._factory()
+            self._rows = rows if isinstance(rows, list) else list(rows)
+        return self._rows
+
     def stream(self) -> Iterator[LogRecord]:
-        """One full pass over the records."""
-        return iter(self._factory())
+        """One full pass over the records: the kept :meth:`rows` once
+        read, else a fresh factory pass that is not kept."""
+        return iter(self._factory() if self._rows is None else self._rows)
 
     def batches(
         self, size: int = DEFAULT_BATCH_RECORDS
@@ -194,8 +212,8 @@ class RecordSource:
         The fingerprint hashes raw column chunks, so it is independent
         of the serialization format: a JSONL, CSV or Parquet reader
         over the same records produces identical digests and hits the
-        same cached artifacts.  Cached per instance: a factory source
-        is assumed not to change underneath one pipeline run;
+        same cached artifacts.  Cached per instance, and computed over
+        :meth:`rows`, so it describes exactly the rows the stages see;
         re-reading a grown log file means constructing a fresh source
         (the CLI does this on every invocation).
 
@@ -203,12 +221,12 @@ class RecordSource:
         file's raw bytes and looks the fingerprint up in the store
         under that hash (plus format, CLF site/ASN and
         :data:`READER_TOKEN`), so an unchanged file is never parsed.  A
-        miss parses the file and publishes the memo, unless the file's
-        bytes changed during the parse.
+        miss parses the file into :meth:`rows` and publishes the memo,
+        unless the file's bytes changed during the parse.
         """
         if self._fingerprint is None:
             if store is None or self._path is None:
-                self._fingerprint = fingerprint_stream(self.stream())
+                self._fingerprint = fingerprint_stream(self.rows())
             else:
                 self._fingerprint = self._memoized(self._path, store)
         return self._fingerprint
@@ -226,9 +244,11 @@ class RecordSource:
         status, memo = store.load(key)
         if status == "hit":
             return memo  # type: ignore[return-value]
-        fingerprint = fingerprint_stream(self.stream())
-        # A file edited mid-parse must not map these bytes to those rows.
-        if file_sha256(path) == raw:
+        parsed_here = self._rows is None
+        fingerprint = fingerprint_stream(self.rows())
+        # A file edited mid-parse must not map these bytes to those rows,
+        # nor may rows parsed before ``raw`` was hashed.
+        if parsed_here and file_sha256(path) == raw:
             store.store(key, fingerprint, stage=SOURCE_MEMO_STAGE)
         return fingerprint
 

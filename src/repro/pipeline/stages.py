@@ -27,6 +27,13 @@ Stage graph (artifact names)::
 ``preprocess_report`` the preprocessing counts, so a warm run loads
 them instead of the record lists they reduce.
 
+With an artifact store, every stage is cached except the record
+slices — ``overview``, ``phase_slices``, ``directive_records``,
+``passive`` and ``spoof_partitions`` — which are cheap list filters
+over ``preprocess`` that no warm run reads, so a run that needs one
+recomputes it from the cached ``preprocess``.  Their fingerprints
+still key the stages below them.
+
 With ``config.jobs > 1`` the ``preprocess`` stage becomes a
 :class:`~repro.pipeline.stage.ShardStage`: the record stream is hash-
 partitioned by site (or IP), each shard is enriched in a parallel
@@ -58,8 +65,6 @@ from ..logs.preprocess import (
     merge_preprocess_shards,
     preprocess_shard,
     records_by_bot,
-    scanner_ips_from_stats,
-    scanner_stats,
 )
 from ..logs.schema import LogRecord
 from ..robots.corpus import RobotsVersion
@@ -100,20 +105,16 @@ def _records(context: PipelineContext) -> list[LogRecord]:
 def _preprocess_sequential(
     context: PipelineContext, preprocessor: Preprocessor | None = None
 ) -> tuple[list[LogRecord], object]:
-    """Single-process preprocessing in two streaming passes.
+    """Single-process preprocessing over the source's one parse.
 
-    One pass gathers scanner statistics, one enriches the surviving
-    records, so only those are ever held in memory.  A list source
-    replays the caller's own objects, which are enriched in place.
+    The scanner screen and enrichment share :meth:`RecordSource.rows`,
+    the list the fingerprint already read (or a list source's own
+    records), whose objects are enriched in place.
     """
     pre = preprocessor if preprocessor is not None else Preprocessor()
     source = context.source
     assert source is not None
-    if pre.drop_scanners:
-        seen, totals, probes = scanner_stats(source.stream())
-        ips = scanner_ips_from_stats(totals, probes)
-        return pre.enrich_filtered(source.stream(), ips, seen)
-    return pre.enrich_filtered(source.stream(), set())
+    return pre.run(source.rows())
 
 
 def _partition_stage(context: PipelineContext):
@@ -366,12 +367,21 @@ def build_study_pipeline(
             FunctionStage(
                 "preprocess_report", _preprocess_report, deps=("preprocess",)
             ),
-            FunctionStage("overview", _overview, deps=("preprocess",)),
-            FunctionStage("phase_slices", _phase_slices, deps=("preprocess",)),
             FunctionStage(
-                "directive_records", _directive_records, deps=("phase_slices",)
+                "overview", _overview, deps=("preprocess",), cache=False
             ),
-            FunctionStage("passive", _passive, deps=("preprocess",)),
+            FunctionStage(
+                "phase_slices", _phase_slices, deps=("preprocess",), cache=False
+            ),
+            FunctionStage(
+                "directive_records",
+                _directive_records,
+                deps=("phase_slices",),
+                cache=False,
+            ),
+            FunctionStage(
+                "passive", _passive, deps=("preprocess",), cache=False
+            ),
             FunctionStage(
                 "spoof_findings", _spoof_findings, deps=("preprocess",)
             ),
@@ -379,6 +389,7 @@ def build_study_pipeline(
                 "spoof_partitions",
                 _spoof_partitions,
                 deps=("preprocess", "spoof_findings"),
+                cache=False,
             ),
             FunctionStage(
                 "per_bot",

@@ -126,12 +126,13 @@ class StudyAnalysis:
 
     @classmethod
     def from_source(cls, source, scenario, **options) -> "StudyAnalysis":
-        """Build an analysis straight from a streaming record source.
+        """Build an analysis straight from a record source.
 
         ``source`` is anything :meth:`RecordSource.of` accepts — most
-        usefully a reader factory like ``lambda: read_jsonl(path)``,
-        which is streamed rather than loaded into memory.  ``options``
-        are the constructor's keyword arguments.  The ``dataset``
+        usefully :meth:`RecordSource.from_file` or a reader factory
+        like ``lambda: read_jsonl(path)``, which the run parses once
+        (and a warm cached run not at all).  ``options`` are the
+        constructor's keyword arguments.  The ``dataset``
         attribute is ``None`` on instances built this way.
         """
         return cls(None, source=source, scenario=scenario, **options)

@@ -9,6 +9,9 @@ from repro import cli
 from repro.cli import main
 from repro.logs import io as log_io
 from repro.logs.io import write_jsonl
+from repro.pipeline import RecordSource
+from repro.reporting.study import StudyAnalysis
+from repro.robots.corpus import RobotsVersion
 from repro.simulation import SimulationEngine, quick_scenario
 
 
@@ -125,6 +128,83 @@ class TestAnalyzeCacheFlags:
             main(["analyze", str(small_log), "--experiments", "T5"]) == 0
         )
         assert "cache:" not in capsys.readouterr().err
+
+
+@pytest.fixture()
+def rows_read(monkeypatch):
+    """Every row ``read_jsonl`` yields, in order."""
+    rows = []
+    reader = log_io.read_jsonl
+
+    def counting(path):
+        for row in reader(path):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(log_io, "read_jsonl", counting)
+    return rows
+
+
+class TestParseCounts:
+    """One ``analyze`` parses each log row at most once."""
+
+    def test_each_run_parses_each_row_once(
+        self, small_log, tmp_path, capsys, rows_read
+    ):
+        lines = small_log.read_bytes().splitlines(keepends=True)
+        cut = len(lines) * 9 // 10
+        log = tmp_path / "study.jsonl"
+        log.write_bytes(b"".join(lines[:cut]))
+        argv = ["analyze", str(log), "--cache-dir", str(tmp_path / "c")]
+
+        def parsed(extra=()):
+            before = len(rows_read)
+            assert main(argv + list(extra)) == 0
+            capsys.readouterr()
+            return len(rows_read) - before
+
+        assert parsed() == cut  # cold
+        assert parsed() == 0  # warm
+        assert parsed(["--no-cache"]) == cut
+        with open(log, "ab") as handle:
+            handle.writelines(lines[cut:])
+        assert parsed() == len(lines)  # after the append
+        before = len(rows_read)
+        assert main(["analyze", str(log), "--experiments", "T5"]) == 0
+        assert len(rows_read) - before == len(lines)  # no cache at all
+
+    def test_warm_facade_recomputes_slices_from_cached_preprocess(
+        self, small_log, tmp_path, rows_read
+    ):
+        scenario = quick_scenario(scale=0.05, seed=13)
+
+        def analysis(**options):
+            return StudyAnalysis.from_source(
+                RecordSource.from_file(small_log), scenario=scenario, **options
+            )
+
+        def slices(study):
+            def dump(records):
+                return repr([record.to_dict() for record in records])
+
+            return {
+                "overview": dump(study.overview_records),
+                "base": dump(study.phase_records(RobotsVersion.BASE)),
+                "directives": {
+                    directive: dump(records)
+                    for directive, records in study.directive_records.items()
+                },
+                "passive": dump(study.passive_site_records),
+            }
+
+        cold = slices(analysis())
+        assert cold["overview"] != "[]" and cold["passive"] != "[]"
+        analysis(cache_dir=tmp_path).run_all()
+        before = len(rows_read)
+        warm = analysis(cache_dir=tmp_path)
+        assert slices(warm) == cold
+        assert len(rows_read) == before
+        assert warm.cache_stats.stage_events == {"preprocess": "hit"}
 
 
 class TestCacheSubcommand:

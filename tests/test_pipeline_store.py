@@ -72,17 +72,13 @@ _END = SCENARIO.overview_end
 #: produces both hit and miss shards.
 JOBS = 3
 
-#: Stages the study pipeline caches (everything except the partition).
+#: Stages the study pipeline caches (everything except the partition
+#: and the record slices, which recompute from ``preprocess``).
 CACHEABLE_STAGES = frozenset(
     {
         "preprocess",
         "preprocess_report",
-        "overview",
-        "phase_slices",
-        "directive_records",
-        "passive",
         "spoof_findings",
-        "spoof_partitions",
         "per_bot",
         "per_bot_spoofed",
         "category_table",
@@ -601,6 +597,65 @@ class TestSourceFingerprintMemo:
         grown, parsed = _memoized(log, store, rows_read)
         assert parsed > 0
         assert grown == _fresh(log)
+
+    def test_log_grown_after_the_first_parse_is_analyzed_as_parsed(
+        self, log, tmp_path, monkeypatch
+    ):
+        """One run parses the log once, so rows appended after that
+        parse reach neither the fingerprint nor any published stage."""
+        original = tmp_path / "original.jsonl"
+        original.write_bytes(log.read_bytes())
+        tail = log.read_text("utf-8").splitlines(keepends=True)[:7]
+        reader = log_io.read_jsonl
+        grown = []
+
+        def growing(path):
+            yield from reader(path)
+            if not grown:
+                grown.append(path)
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.writelines(tail)
+
+        monkeypatch.setattr(log_io, "read_jsonl", growing)
+        source = RecordSource.from_file(log)
+        pipeline = build_study_pipeline(
+            source=source, scenario=SCENARIO, cache_dir=tmp_path / "c"
+        )
+        records, report = pipeline.get("preprocess")
+        store = pipeline.context.store
+        assert grown == [log]
+        assert (
+            len(records) + report.scanner_records
+            == report.input_records
+            == source.fingerprint(store).records
+            == 40
+        )
+        assert _memo_files(store) == []
+
+        published = build_study_pipeline(
+            source=list(iter_log_records(original)),
+            scenario=SCENARIO,
+            cache_dir=tmp_path / "c",
+        )
+        cold = build_study_pipeline(
+            source=RecordSource.from_file(original), scenario=SCENARIO
+        )
+        assert _artifact_bytes(published, "preprocess") == _artifact_bytes(
+            cold, "preprocess"
+        )
+        assert published.context.stats.stage_events == {"preprocess": "hit"}
+
+    def test_rows_parsed_before_the_memo_lookup_publish_no_memo(
+        self, log, tmp_path
+    ):
+        source = RecordSource.from_file(log)
+        rows = source.rows()
+        tail = log.read_text("utf-8").splitlines(keepends=True)[:3]
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.writelines(tail)
+        store = ArtifactStore(tmp_path / "cache")
+        assert source.fingerprint(store) == fingerprint_stream(rows)
+        assert _memo_files(store) == []
 
     def test_memo_feeds_the_same_stage_keys(self, log, tmp_path, rows_read):
         """A warm pipeline over an unchanged file parses no row."""

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 from urllib.parse import quote
 
 import pytest
@@ -455,3 +461,33 @@ class TestServeCLI:
         assert status == 200
         assert payload["allowed"] is False
         assert "serving on http://127.0.0.1:" in capsys.readouterr().out
+
+    def test_sigterm_stops_serve_with_sigint_ignored(self):
+        """A ``serve`` started with SIGINT ignored (as from a background
+        shell) still shuts down cleanly on SIGTERM."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            banner = server.stdout.readline()
+            assert banner.startswith("serving on http://127.0.0.1:"), banner
+            port = int(banner.rsplit(":", 1)[1])
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+            server.send_signal(signal.SIGTERM)
+            _out, err = server.communicate(timeout=10)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, err
+        assert "shutting down" in err
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
