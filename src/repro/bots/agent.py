@@ -6,9 +6,11 @@ order), a pool of source IPs, and per-site robots.txt state.  During a
 session the agent:
 
 1. decides whether a robots.txt check is due (per its
-   :class:`~repro.bots.behavior.CheckPolicy`) and, if so, fetches and
-   parses the file through the real engine
-   (:func:`repro.robots.fetchstate.resolve_fetch`);
+   :class:`~repro.bots.behavior.CheckPolicy`) and, if so, fetches the
+   file; a response that differs from the agent's previous fetch of
+   that site is parsed through the real engine
+   (:func:`repro.robots.fetchstate.resolve_fetch`), an identical one
+   reuses the policy already parsed (see :class:`_SiteRobotsState`);
 2. emits page requests whose *targets* and *inter-access deltas*
    follow the profile's calibrated compliance parameters for the
    robots.txt version in force on that site at that time;
@@ -22,7 +24,7 @@ pipeline) to the per-bot ratios in the paper's Table 6.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +46,24 @@ def agent_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def section_cdf(weights: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice`` builds from
+    ``p=weights / weights.sum()``, computed once per weight vector."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One weighted index draw over :func:`section_cdf` output.
+
+    Identical to ``rng.choice(len(cdf), p=p)`` for the ``p`` behind
+    ``cdf`` — the same index from the same single double — without
+    re-validating ``p`` and rebuilding the CDF on every draw.
+    """
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _is_exempt(robots_token: str) -> bool:
     """Does the token prefix-match one of the exempted SEO groups?"""
     token = robots_token.lower()
@@ -55,19 +75,30 @@ def _is_exempt(robots_token: str) -> bool:
 
 @dataclass
 class _SiteRobotsState:
-    """Per-origin robots.txt bookkeeping.
+    """Per-origin robots.txt bookkeeping, kept across fetches.
 
-    ``allow_verdicts`` is only populated for strict agents: one batch
+    ``fetched`` is the last ``(status, body)`` the origin answered and
+    ``policy`` the engine's reading of it; a fetch answered with the
+    same pair keeps that policy instead of parsing the bytes again.
+
+    ``allow_verdicts`` is only populated for strict and
+    violate-after-fetch agents: one batch
     :meth:`~repro.robots.policy.RobotsPolicy.can_fetch_many` sweep
-    over the site's path inventory at fetch time, so per-request
-    compliance checks during sessions are dict lookups instead of
-    rule evaluations.  Paths that appear after the sweep (sites can
-    grow mid-run) fall back to a live policy check.
+    over the site's path inventory, so per-request compliance checks
+    during sessions are dict lookups instead of rule evaluations, and
+    ``denied`` lists the paths it disallows (``/robots.txt`` aside) in
+    inventory order.  A fetch redoes the sweep only when the policy
+    changed or the site grew since: ``swept`` is the page count the
+    sweep covered, and a site's pages are only ever added.  Paths
+    that appear after the sweep fall back to a live policy check.
     """
 
     last_check: float | None = None
+    fetched: tuple[int, bytes] | None = None
     policy: RobotsPolicy | None = None
+    swept: int | None = None
     allow_verdicts: dict[str, bool] | None = None
+    denied: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -237,7 +268,7 @@ class BotAgent:
         user_agent: str | None = None,
         asn: int | None = None,
     ) -> None:
-        """Fetch, parse and cache robots.txt via the real engine."""
+        """Fetch robots.txt; parse and sweep it only when it changed."""
         request = Request(
             host=site.hostname,
             path=ROBOTS_PATH,
@@ -250,16 +281,28 @@ class BotAgent:
         self.requests_emitted += 1
         state = self._robots.setdefault(site.hostname, _SiteRobotsState())
         state.last_check = now
-        state.policy = resolve_fetch(response.status, response.body or b"").policy
+        fetched = (response.status, response.body or b"")
+        if fetched != state.fetched:
+            state.fetched = fetched
+            state.policy = resolve_fetch(*fetched).policy
+            state.swept = None
+        assert state.policy is not None
         traits = self.profile.adversarial
-        if self.strict_robots or (
+        sweeps = self.strict_robots or (
             traits is not None and traits.violate_after_fetch
-        ):
+        )
+        if sweeps and state.swept != len(site.pages):
             inventory = site.all_paths()
             verdicts = state.policy.can_fetch_many(
                 self.profile.robots_token, inventory
             )
             state.allow_verdicts = dict(zip(inventory, verdicts))
+            state.denied = [
+                path
+                for path, allowed in zip(inventory, verdicts)
+                if not allowed and path != ROBOTS_PATH
+            ]
+            state.swept = len(inventory)
 
     def _strictly_denied(self, site: Website, path: str) -> bool:
         """Whether a strict agent must skip ``path`` on this site."""
@@ -278,20 +321,16 @@ class BotAgent:
     def _violation_path(self, site: Website) -> str | None:
         """A deliberately disallowed target (fetch-then-violate).
 
-        Drawn from the denied-path sweep the last robots fetch
-        computed (see :meth:`_fetch_robots`); falls back to the trap
-        section — disallowed under every corpus version — when no
-        policy has been fetched yet this session.
+        Drawn from the denied paths of the sweep behind the last
+        robots fetch (see :meth:`_fetch_robots`); falls back to the
+        trap section — disallowed under every corpus version — when
+        no policy has been fetched yet this session or it denies
+        nothing.
         """
         state = self._robots.get(site.hostname)
-        if state is not None and state.allow_verdicts:
-            denied = [
-                path
-                for path, allowed in state.allow_verdicts.items()
-                if not allowed and path != ROBOTS_PATH
-            ]
-            if denied:
-                return denied[int(self._rng.integers(0, len(denied)))]
+        if state is not None and state.denied:
+            denied = state.denied
+            return denied[int(self._rng.integers(0, len(denied)))]
         traps = site.paths_in_section("secure")
         if traps:
             return traps[int(self._rng.integers(0, len(traps)))]
@@ -366,12 +405,12 @@ class BotAgent:
             else:
                 names = list(sections)
                 weights = np.fromiter(sections.values(), dtype=float)
-                cached = (names, weights / weights.sum())
+                cached = (names, section_cdf(weights))
             self._weights_cache[key] = cached
-        names, weights = cached
+        names, cdf = cached
         if not names:
             return "/"
-        section = names[int(self._rng.choice(len(names), p=weights))]
+        section = names[draw_index(self._rng, cdf)]
         paths = site.paths_in_section(section)
         if not paths:
             return "/"

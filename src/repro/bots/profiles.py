@@ -19,6 +19,7 @@ of ~130 self-declared bots the paper reports.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 from ..asn.database import default_asn_registry
@@ -1285,7 +1286,22 @@ def profile_by_name(name: str) -> BotProfile:
     """
     from ..exceptions import UnknownBotError
 
+    try:
+        return _profile_table()[name.lower()]
+    except KeyError:
+        raise UnknownBotError(name) from None
+
+
+@functools.lru_cache(maxsize=1)
+def _profile_table() -> dict[str, BotProfile]:
+    """Lower-cased name -> profile, built once per process.
+
+    The first profile carrying a name wins, as in a linear scan of
+    :func:`build_profiles` then :func:`adversarial_profiles`.  Sharing
+    the (frozen) profiles is safe; :func:`build_profiles` itself still
+    returns a fresh list each call, since callers extend it.
+    """
+    table: dict[str, BotProfile] = {}
     for profile in build_profiles() + adversarial_profiles():
-        if profile.name.lower() == name.lower():
-            return profile
-    raise UnknownBotError(name)
+        table.setdefault(profile.name.lower(), profile)
+    return table

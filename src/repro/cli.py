@@ -53,7 +53,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .exceptions import ConfigError, LogSchemaError, MissingDependencyError
+from .exceptions import (
+    ConfigError,
+    LogSchemaError,
+    MissingDependencyError,
+    PipelineError,
+)
 from .logs.io import LOG_FORMATS, convert_log, write_log
 from .pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES, RecordSource
 from .reporting.experiments import EXPERIMENTS, run_all, run_experiment
@@ -832,7 +837,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MissingDependencyError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LogSchemaError, FileNotFoundError) as exc:
+    except (LogSchemaError, PipelineError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -143,7 +143,7 @@ class RecordSource:
     can be memoized in an artifact store.
     """
 
-    __slots__ = ("_factory", "_rows", "_fingerprint", "_path", "_reader_args")
+    __slots__ = ("_factory", "_rows", "_fingerprint", "_path", "_reader_args", "_raw")
 
     def __init__(self, factory: Callable[[], Iterable[LogRecord]]) -> None:
         self._factory = factory
@@ -151,6 +151,9 @@ class RecordSource:
         self._fingerprint: SourceFingerprint | None = None
         self._path: Path | None = None
         self._reader_args: tuple[str, ...] = ()
+        # Raw SHA-256 of the file bytes a memo hit answered for: a
+        # later parse must read those same bytes (see _check_unchanged).
+        self._raw: str | None = None
 
     @classmethod
     def from_file(
@@ -191,13 +194,36 @@ class RecordSource:
         """
         if self._rows is None:
             rows = self._factory()
-            self._rows = rows if isinstance(rows, list) else list(rows)
+            rows = rows if isinstance(rows, list) else list(rows)
+            self._check_unchanged()
+            self._rows = rows
         return self._rows
 
     def stream(self) -> Iterator[LogRecord]:
         """One full pass over the records: the kept :meth:`rows` once
         read, else a fresh factory pass that is not kept."""
-        return iter(self._factory() if self._rows is None else self._rows)
+        if self._rows is not None:
+            return iter(self._rows)
+        if self._raw is None:
+            return iter(self._factory())
+        return self._checked_pass()
+
+    def _checked_pass(self) -> Iterator[LogRecord]:
+        yield from self._factory()
+        self._check_unchanged()
+
+    def _check_unchanged(self) -> None:
+        """Refuse rows parsed after a memo hit from different bytes.
+
+        The stage keys of this run derive from the memoized fingerprint
+        of the bytes hashed at lookup time; rows read from a file that
+        changed since would be published under those keys.
+        """
+        if self._raw is not None and file_sha256(self._path) != self._raw:
+            raise PipelineError(
+                f"log file {self._path} changed while it was being "
+                "analyzed; nothing was cached from it, rerun the command"
+            )
 
     def batches(
         self, size: int = DEFAULT_BATCH_RECORDS
@@ -222,10 +248,13 @@ class RecordSource:
         under that hash (plus format, CLF site/ASN and
         :data:`READER_TOKEN`), so an unchanged file is never parsed.  A
         miss parses the file into :meth:`rows` and publishes the memo,
-        unless the file's bytes changed during the parse.
+        unless the file's bytes changed during the parse.  After a hit,
+        the first parse of the file (should a stage need the rows)
+        re-hashes it and raises :class:`PipelineError` if the bytes
+        changed.  Rows already parsed are fingerprinted directly.
         """
         if self._fingerprint is None:
-            if store is None or self._path is None:
+            if store is None or self._path is None or self._rows is not None:
                 self._fingerprint = fingerprint_stream(self.rows())
             else:
                 self._fingerprint = self._memoized(self._path, store)
@@ -243,12 +272,11 @@ class RecordSource:
         )
         status, memo = store.load(key)
         if status == "hit":
+            self._raw = raw
             return memo  # type: ignore[return-value]
-        parsed_here = self._rows is None
         fingerprint = fingerprint_stream(self.rows())
-        # A file edited mid-parse must not map these bytes to those rows,
-        # nor may rows parsed before ``raw`` was hashed.
-        if parsed_here and file_sha256(path) == raw:
+        # A file edited mid-parse must not map these bytes to those rows.
+        if file_sha256(path) == raw:
             store.store(key, fingerprint, stage=SOURCE_MEMO_STAGE)
         return fingerprint
 

@@ -289,9 +289,11 @@ class CompiledPolicy:
     Mirrors :class:`~repro.robots.policy.RobotsPolicy` semantics —
     including the always-fetchable ``/robots.txt`` carve-out and the
     RFC 9309 fetch-failure dispositions — while memoizing one
-    :class:`CompiledRuleSet` per user-agent token.  The memo is keyed
-    by the resolved group set, so ``GPTBot`` and ``ClaudeBot`` falling
-    through to the same catch-all group share one compilation.
+    :class:`CompiledRuleSet` and one crawl delay per user-agent token
+    (the wrapped :class:`RobotsFile` is never mutated).  The rule-set
+    memo is keyed by the resolved group set, so ``GPTBot`` and
+    ``ClaudeBot`` falling through to the same catch-all group share one
+    compilation.
     """
 
     robots: RobotsFile | None = None
@@ -302,6 +304,8 @@ class CompiledPolicy:
     _by_groups: dict[tuple[int, ...], CompiledRuleSet] = field(
         default_factory=dict, repr=False
     )
+    # Made on the first crawl_delay call: most policies are never asked.
+    _delay_by_token: dict[str, float | None] | None = field(default=None, repr=False)
 
     # -- compilation -------------------------------------------------
 
@@ -318,6 +322,22 @@ class CompiledPolicy:
             entry = (self._compile_groups(groups), _group_agents(groups))
         self._by_token[user_agent] = entry
         return entry
+
+    def crawl_delay(self, user_agent: str) -> float | None:
+        """Crawl delay of the first governing group that sets one,
+        resolved once per user-agent token."""
+        if self._delay_by_token is None:
+            self._delay_by_token = {}
+        elif user_agent in self._delay_by_token:
+            return self._delay_by_token[user_agent]
+        delay = None
+        if self.robots is not None:
+            for group in self.robots.matching_groups(user_agent):
+                if group.crawl_delay is not None:
+                    delay = group.crawl_delay
+                    break
+        self._delay_by_token[user_agent] = delay
+        return delay
 
     def _compile_groups(self, groups: Sequence[Group]) -> CompiledRuleSet:
         assert self.robots is not None

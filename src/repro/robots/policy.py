@@ -172,11 +172,7 @@ class RobotsPolicy:
         """Crawl delay in seconds for ``user_agent``, if any is set."""
         if self.robots is None:
             return None
-        groups = self.robots.matching_groups(user_agent)
-        for group in groups:
-            if group.crawl_delay is not None:
-                return group.crawl_delay
-        return None
+        return self.compiled().crawl_delay(user_agent)
 
     def governing_group(self, user_agent: str) -> Group | None:
         """The single most-specific group for ``user_agent`` (or None)."""

@@ -1,6 +1,17 @@
 """Unit tests for the crawler agent and spoofed shadows."""
 
-from repro.bots.agent import BotAgent, agent_seed, _is_exempt
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bots import agent as agent_module
+from repro.bots.agent import (
+    BotAgent,
+    _is_exempt,
+    agent_seed,
+    draw_index,
+    section_cdf,
+)
 from repro.bots.behavior import BotProfile, CheckPolicy, ComplianceProfile, NEVER_CHECKS
 from repro.bots.spoofer import build_spoof_agents, spoof_compliance_for
 from repro.simulation.clock import epoch
@@ -289,3 +300,67 @@ class TestStrictRobots:
         site.add_page(Page(path="/secure/added-later", size_bytes=10, section="secure"))
         assert "/secure/added-later" not in (state.allow_verdicts or {})
         assert agent._strictly_denied(site, "/secure/added-later")
+
+    def test_unchanged_robots_is_parsed_and_swept_once(self, monkeypatch):
+        """Refetching identical bytes keeps the parsed policy and its
+        sweep; a grown site re-sweeps, a new file re-parses."""
+        from repro.web.site import Page
+
+        parses = []
+        resolve = agent_module.resolve_fetch
+
+        def counted(status, body):
+            parses.append(body)
+            return resolve(status, body)
+
+        monkeypatch.setattr(agent_module, "resolve_fetch", counted)
+        server = make_server()
+        agent = BotAgent(
+            profile=make_profile(),
+            scenario=quick_scenario(scale=1.0, seed=11),
+            server=server,
+            strict_robots=True,
+        )
+        site = next(iter(server.sites.values()))
+        agent._fetch_robots(site, 0.0, "10.0.0.1")
+        state = agent._robots[site.hostname]
+        policy, verdicts = state.policy, state.allow_verdicts
+        agent._fetch_robots(site, 60.0, "10.0.0.1")
+        assert len(parses) == 1
+        assert state.policy is policy and state.allow_verdicts is verdicts
+        assert state.denied == [
+            path
+            for path, allowed in verdicts.items()
+            if not allowed and path != "/robots.txt"
+        ]
+
+        site.add_page(Page(path="/secure/added-later", size_bytes=10))
+        agent._fetch_robots(site, 120.0, "10.0.0.1")
+        assert len(parses) == 1 and state.policy is policy
+        assert state.allow_verdicts["/secure/added-later"] is False
+        assert state.denied[-1] == "/secure/added-later"
+
+        site.set_robots("User-agent: *\nDisallow: /\n")
+        agent._fetch_robots(site, 180.0, "10.0.0.1")
+        assert len(parses) == 2 and state.policy is not policy
+        assert not any(state.allow_verdicts.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=12),
+    seed=st.integers(min_value=0, max_value=2**63),
+    draws=st.integers(min_value=1, max_value=200),
+)
+def test_cdf_draw_matches_generator_choice(weights, seed, draws):
+    """The precomputed-CDF draw is ``Generator.choice(n, p=...)``: the
+    same indices from the same doubles, leaving the stream aligned."""
+    vector = np.asarray(weights, dtype=float)
+    cdf = section_cdf(vector)
+    p = vector / vector.sum()
+    ours = np.random.default_rng(seed)
+    numpy = np.random.default_rng(seed)
+    assert [draw_index(ours, cdf) for _ in range(draws)] == [
+        int(numpy.choice(len(p), p=p)) for _ in range(draws)
+    ]
+    assert ours.bit_generator.state == numpy.bit_generator.state

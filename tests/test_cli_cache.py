@@ -9,7 +9,8 @@ from repro import cli
 from repro.cli import main
 from repro.logs import io as log_io
 from repro.logs.io import write_jsonl
-from repro.pipeline import RecordSource
+from repro.pipeline import ArtifactStore, RecordSource
+from repro.pipeline.context import SOURCE_MEMO_STAGE
 from repro.reporting.study import StudyAnalysis
 from repro.robots.corpus import RobotsVersion
 from repro.simulation import SimulationEngine, quick_scenario
@@ -172,6 +173,39 @@ class TestParseCounts:
         before = len(rows_read)
         assert main(["analyze", str(log), "--experiments", "T5"]) == 0
         assert len(rows_read) - before == len(lines)  # no cache at all
+
+    def test_log_grown_after_a_memo_hit_is_one_error_line(
+        self, small_log, tmp_path, capsys, monkeypatch
+    ):
+        log = tmp_path / "study.jsonl"
+        log.write_bytes(small_log.read_bytes())
+        cache = tmp_path / "c"
+        argv = ["analyze", str(log), "--cache-dir", str(cache)]
+        assert main(argv + ["--experiments", "T5"]) == 0
+        capsys.readouterr()
+        store = ArtifactStore(cache)
+        for path in store._object_files():
+            if store._stage_of(path) != SOURCE_MEMO_STAGE:
+                path.unlink()
+        tail = log.read_bytes().splitlines(keepends=True)[:5]
+        reader = log_io.read_jsonl
+
+        def growing(path):
+            yield from reader(path)
+            with open(path, "ab") as handle:
+                handle.writelines(tail)
+
+        monkeypatch.setattr(log_io, "read_jsonl", growing)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            f"error: log file {log} changed while it was being analyzed; "
+            "nothing was cached from it, rerun the command"
+        ]
+        assert {store._stage_of(path) for path in store._object_files()} == {
+            SOURCE_MEMO_STAGE
+        }
 
     def test_warm_facade_recomputes_slices_from_cached_preprocess(
         self, small_log, tmp_path, rows_read

@@ -657,6 +657,54 @@ class TestSourceFingerprintMemo:
         assert source.fingerprint(store) == fingerprint_stream(rows)
         assert _memo_files(store) == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_log_grown_after_a_memo_hit_publishes_nothing(
+        self, log, tmp_path, monkeypatch, jobs
+    ):
+        """The memo answered for the bytes hashed at lookup; rows a
+        missing stage parses later must come from those same bytes."""
+
+        def pipeline():
+            return build_study_pipeline(
+                source=RecordSource.from_file(log),
+                scenario=SCENARIO,
+                config=PipelineConfig(jobs=jobs, executor="inline"),
+                cache_dir=tmp_path / "c",
+            )
+
+        pipeline().get("preprocess")
+        store = ArtifactStore(tmp_path / "c")
+
+        def preprocess_files():
+            return [
+                path
+                for path in store._object_files()
+                if store._stage_of(path) == "preprocess"
+            ]
+
+        (pruned,) = preprocess_files()
+        pruned.unlink()
+        tail = log.read_text("utf-8").splitlines(keepends=True)[:7]
+        reader = log_io.read_jsonl
+
+        def growing(path):
+            yield from reader(path)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.writelines(tail)
+
+        monkeypatch.setattr(log_io, "read_jsonl", growing)
+        grown = pipeline()
+        with pytest.raises(PipelineError, match="changed while"):
+            grown.get("preprocess")
+        assert preprocess_files() == []
+        assert grown.context.stats.published == 0
+        # The grown file hashes differently, so a rerun misses the memo
+        # and analyzes every row it parses.
+        monkeypatch.setattr(log_io, "read_jsonl", reader)
+        rerun = pipeline()
+        records, report = rerun.get("preprocess")
+        assert report.input_records == 47
+
     def test_memo_feeds_the_same_stage_keys(self, log, tmp_path, rows_read):
         """A warm pipeline over an unchanged file parses no row."""
 

@@ -1,6 +1,13 @@
 """Unit tests for the RobotsPolicy access API."""
 
+import pytest
+
+from repro.robots.corpus import all_versions, policy_for_version
+from repro.robots.diff import DEFAULT_PROBE_AGENTS
 from repro.robots.policy import RobotsPolicy
+
+#: The diff probe agents plus an exempt SEO bot and a prefix token.
+DELAY_AGENTS = (*DEFAULT_PROBE_AGENTS, "DuckAssistBot", "Googlebot-Image")
 
 PAPER_STYLE = """\
 User-agent: Googlebot
@@ -103,3 +110,35 @@ class TestHelpers:
         group = policy.governing_group("Googlebot")
         assert group is not None
         assert group.user_agents == ["Googlebot"]
+
+
+def _unmemoized_delay(policy, agent):
+    if policy.robots is None:
+        return None
+    for group in policy.robots.matching_groups(agent):
+        if group.crawl_delay is not None:
+            return group.crawl_delay
+    return None
+
+
+#: The four paper files, the fetch-failure policies, and a file whose
+#: groups set different delays.
+DELAY_POLICIES = {
+    **{version.value: policy_for_version(version) for version in all_versions()},
+    "allow_all": RobotsPolicy.allow_all(),
+    "disallow_all": RobotsPolicy.disallow_all(),
+    "per_group": RobotsPolicy.from_text(
+        "User-agent: Googlebot\nCrawl-delay: 5\n\n"
+        "User-agent: GPTBot\nDisallow: /\n\n"
+        "User-agent: *\nCrawl-delay: 30\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DELAY_POLICIES))
+def test_memoized_crawl_delay_matches_group_scan(name):
+    policy = DELAY_POLICIES[name]
+    assert len(DELAY_AGENTS) == 11
+    expected = [_unmemoized_delay(policy, agent) for agent in DELAY_AGENTS]
+    for _ in range(2):  # first call fills the memo, second reads it
+        assert [policy.crawl_delay(agent) for agent in DELAY_AGENTS] == expected

@@ -1,17 +1,23 @@
 """Matrix runner: per-cell caching, knob-edit invalidation, reductions."""
 
 import dataclasses
+import hashlib
 
+from repro.bots import agent as agent_module
+from repro.bots.profiles import profile_by_name
 from repro.scenarios import (
     ScenarioGrid,
     build_roc_tables,
     build_scorecard,
     deterrence_preset,
+    parse_grid,
     roc_curve,
     run_cell,
     run_matrix,
 )
 from repro.scenarios.results import CellMetrics
+from repro.simulation.hooks import ObservedGateway
+from repro.web.site import ROBOTS_PATH
 
 #: Small-but-real grid: 1 bot x 2 strategies x 2 deterrence = 4 cells.
 GRID = ScenarioGrid(
@@ -125,6 +131,63 @@ class TestCellResults:
         by_id = {cell.cell_id: cell for cell in result.cells}
         enforced = by_id["GPTBot|fetch_violate|full|base|steady"]
         assert enforced.metrics.disallowed_served == 0
+
+
+#: 60 cells: both bots under all five strategies.
+GOLDEN_GRID = (
+    "bots=GPTBot,RobotsViolator;"
+    "strategy=honest,spoof_asn,ua_rotation,fetch_violate,low_slow;"
+    "deterrence=none,robots,full;robots=base,v3;traffic=burst;"
+    "days=2;accesses_target=200"
+)
+#: ``repr`` digest of the grid's cell results; a change here moves
+#: every cached cell, so it needs a ``CELLS_TOKEN`` bump.
+GOLDEN_DIGEST = "7224904702e5339f3ae45f4850acf36670e2702015567541c0a4a8d8fffc8358"
+
+
+class TestCellGolden:
+    def test_cell_results_are_byte_identical(self):
+        cells = tuple(
+            run_cell(spec) for spec in parse_grid(GOLDEN_GRID, seed=2025).cells()
+        )
+        assert len(cells) == 60
+        assert hashlib.sha256(repr(cells).encode()).hexdigest() == GOLDEN_DIGEST
+
+    def test_violator_parses_robots_only_when_the_fetch_changed(
+        self, monkeypatch
+    ):
+        """One parse per change of the fetched ``(status, body)``; the
+        cell's rate limiter answers some fetches with 429."""
+        (spec,) = parse_grid(
+            "bots=RobotsViolator;strategy=fetch_violate;deterrence=full;"
+            "robots=base;traffic=burst;days=2;accesses_target=200",
+            seed=2025,
+        ).cells()
+        user_agent = profile_by_name("RobotsViolator").user_agent
+        fetched, parses = [], []
+        resolve = agent_module.resolve_fetch
+        handle = ObservedGateway.handle
+
+        def counted(status, body):
+            parses.append(status)
+            return resolve(status, body)
+
+        def observed(self, request):
+            response = handle(self, request)
+            if request.path == ROBOTS_PATH and request.user_agent == user_agent:
+                fetched.append((response.status, response.body or b""))
+            return response
+
+        monkeypatch.setattr(agent_module, "resolve_fetch", counted)
+        monkeypatch.setattr(ObservedGateway, "handle", observed)
+        run_cell(spec)
+        changes = [
+            index
+            for index, pair in enumerate(fetched)
+            if index == 0 or pair != fetched[index - 1]
+        ]
+        assert 1 < len(changes) < len(fetched)
+        assert parses == [fetched[index][0] for index in changes]
 
 
 class TestReductions:
