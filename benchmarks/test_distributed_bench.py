@@ -119,13 +119,12 @@ def _run(records: list[LogRecord], executor: str, jobs: int):
             return build(
                 PipelineConfig(
                     jobs=jobs,
-                    shard_by="site",
                     executor="queue",
                     spool=os.path.join(spool, "spool"),
                     workers=jobs,
                 )
             )
-    return build(PipelineConfig(jobs=jobs, shard_by="site", executor=executor))
+    return build(PipelineConfig(jobs=jobs, executor=executor))
 
 
 def _assert_parity(queue_result, inline_result) -> None:

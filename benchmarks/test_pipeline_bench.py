@@ -2,13 +2,10 @@
 
 Establishes the perf contract of :mod:`repro.pipeline`: on a
 multi-site synthetic corpus, the site-sharded executor at ``--jobs 4``
-must beat the sequential pipeline by ≥ 2× wall-clock.  Two workloads:
-
-1. sharded preprocessing + site tallies over a corpus whose user
-   agents are mostly unique (the registry-miss path — the CPU-bound
-   enrichment work production log analysis is dominated by);
-2. the observatory's multi-site batch restrictiveness series (parse +
-   compile + probe per snapshot, embarrassingly parallel across sites).
+must beat the sequential pipeline by ≥ 2× wall-clock.  The workload is
+sharded preprocessing + site tallies over a corpus whose user agents
+are mostly unique (the registry-miss path — the CPU-bound enrichment
+work production log analysis is dominated by).
 
 Mirroring the matcher bench, the speedup assertion is enforced only
 where it is meaningful: off-CI (shared runners make wall-clock ratios
@@ -26,10 +23,7 @@ import time
 
 from repro.bots.profiles import build_profiles
 from repro.logs.schema import LogRecord
-from repro.observatory import RobotsObservatory
 from repro.pipeline import PipelineConfig, build_study_pipeline
-from repro.robots.builder import RobotsBuilder
-from repro.robots.diff import DEFAULT_PROBE_AGENTS
 from repro.simulation import quick_scenario
 
 #: Required speedup of the 4-job sharded pipeline over sequential.
@@ -108,7 +102,7 @@ def _run_pipeline(records: list[LogRecord], jobs: int):
     pipeline = build_study_pipeline(
         source=list(records),
         scenario=quick_scenario(),
-        config=PipelineConfig(jobs=jobs, shard_by="site"),
+        config=PipelineConfig(jobs=jobs),
     )
     kept, report = pipeline.get("preprocess")
     traffic = pipeline.get("site_traffic")
@@ -146,63 +140,3 @@ def test_sharded_pipeline_speedup_and_parity(bench_timings):
     )
     assert_speedup(speedup)
 
-
-def _build_observatory(sites: int = 48, snapshots: int = 10) -> RobotsObservatory:
-    """Sites whose robots.txt tightens over time (3 rotating shapes)."""
-    texts = []
-    for variant in range(3):
-        builder = RobotsBuilder()
-        for index, agent in enumerate(DEFAULT_PROBE_AGENTS):
-            group = builder.group(agent).allow("/")
-            if (index + variant) % 2:
-                group.disallow("/news/")
-            group.disallow(f"/secure/area-{variant:03d}")
-        builder.group("*").disallow("/404")
-        texts.append(builder.build_text())
-    observatory = RobotsObservatory()
-    for site_index in range(sites):
-        site = f"site-{site_index:03d}.example"
-        for snap in range(snapshots):
-            observatory.record(
-                site,
-                float(snap) * 86_400.0,
-                texts[(site_index + snap) % 3],
-            )
-    return observatory
-
-
-def test_observatory_batch_speedup_and_parity(bench_timings):
-    observatory = _build_observatory()
-
-    batched = observatory.batch_restrictiveness_series(jobs=BENCH_JOBS)
-    sequential_result = {
-        site: observatory.restrictiveness_series(site)
-        for site in observatory.sites()
-    }
-    assert batched == sequential_result
-
-    def run_sequential():
-        fresh = _build_observatory()
-        return fresh.batch_restrictiveness_series(jobs=1)
-
-    def run_batched():
-        fresh = _build_observatory()
-        return fresh.batch_restrictiveness_series(jobs=BENCH_JOBS)
-
-    sequential = best_time(run_sequential)
-    batched_elapsed = best_time(run_batched)
-    speedup = sequential / batched_elapsed
-    print(
-        f"\nobservatory batch over 48 sites x 10 snapshots: "
-        f"sequential {sequential:.3f}s, jobs={BENCH_JOBS} "
-        f"{batched_elapsed:.3f}s, speedup {speedup:.2f}x"
-    )
-    bench_timings(
-        "pipeline/observatory_batch",
-        sequential_s=sequential,
-        sharded_s=batched_elapsed,
-        speedup=speedup,
-        jobs=BENCH_JOBS,
-        enforced=ENFORCE_SPEEDUP,
-    )
-    assert_speedup(speedup)

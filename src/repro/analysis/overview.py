@@ -255,9 +255,9 @@ def phase_tally(
 class SiteTraffic:
     """Per-site traffic tallies over the preprocessed corpus.
 
-    The multi-site substrate for observatory-style batch reporting:
-    how much traffic, how many distinct known bots, how many robots.txt
-    probes and bytes each site saw.
+    The ``site_traffic`` pipeline stage's artifact: how much traffic,
+    how many distinct known bots, how many robots.txt probes and bytes
+    each site saw.
     """
 
     site: str

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 from ..exceptions import ConfigError
 
@@ -111,19 +110,3 @@ def weighted_average(values: list[float], weights: list[float]) -> float:
     if total <= 0:
         raise ConfigError("weights must sum to a positive value")
     return sum(value * weight for value, weight in zip(values, weights)) / total
-
-
-def wilson_interval(sample: ProportionSample, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a proportion (used by report output).
-
-    Returns (low, high); (0, 1) for an empty sample.
-    """
-    if sample.trials == 0:
-        return (0.0, 1.0)
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    n = sample.trials
-    p = sample.proportion
-    denominator = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denominator
-    margin = (z / denominator) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
-    return (max(0.0, center - margin), min(1.0, center + margin))

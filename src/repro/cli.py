@@ -60,7 +60,7 @@ from .exceptions import (
     PipelineError,
 )
 from .logs.io import LOG_FORMATS, convert_log, write_log
-from .pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES, RecordSource
+from .pipeline.context import EXECUTOR_CHOICES, RecordSource
 from .reporting.experiments import EXPERIMENTS, run_all, run_experiment
 from .reporting.study import StudyAnalysis
 from .robots.corpus import all_versions, render_version
@@ -120,12 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard preprocessing across N worker processes",
     )
     analyze.add_argument(
-        "--shard-by",
-        choices=SHARD_BY_CHOICES,
-        default="site",
-        help="hash-partition key for sharded analysis",
-    )
-    analyze.add_argument(
         "--executor",
         choices=EXECUTOR_CHOICES,
         default="process",
@@ -167,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--scale", type=float, default=0.05)
     report.add_argument("--seed", type=int, default=2025)
     report.add_argument("--jobs", type=_at_least(1), default=1)
-    report.add_argument("--shard-by", choices=SHARD_BY_CHOICES, default="site")
     _add_experiments_option(report)
     _add_cache_options(report)
 
@@ -521,7 +514,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _record_reader(args),
         scenario=default_scenario(seed=args.seed),
         jobs=args.jobs,
-        shard_by=args.shard_by,
         executor=args.executor,
         spool=None if args.spool is None else str(args.spool),
         workers=args.workers,
@@ -548,7 +540,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     analysis = StudyAnalysis(
         dataset,
         jobs=args.jobs,
-        shard_by=args.shard_by,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
     )

@@ -27,7 +27,6 @@ rather than O(snapshots × probes × rules) re-normalizations.
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -184,123 +183,6 @@ class RobotsObservatory:
             for snapshot in self._snapshots.get(site, [])
         ]
 
-    # -- multi-site batch entry points (pipeline shard executor) ---------
-
-    #: Code/version token for cached series; bump when the series
-    #: semantics (restrictiveness scoring, probe evaluation) change.
-    _SERIES_CACHE_TOKEN = "1"
-
-    def _history_fingerprint(self, site: str, agents: tuple[str, ...]) -> str:
-        """Cache key for one site's series: snapshot history + probes,
-        plus the store schema and a series code token so semantic fixes
-        invalidate stale entries like they do for pipeline stages."""
-        from .pipeline.store import CACHE_SCHEMA, digest_parts
-
-        parts = [
-            "observatory-series",
-            CACHE_SCHEMA,
-            self._SERIES_CACHE_TOKEN,
-            site,
-            ",".join(agents),
-        ]
-        for snapshot in self._snapshots.get(site, []):
-            parts.append(f"{snapshot.fetched_at!r}")
-            parts.append(snapshot.text)
-        return digest_parts(*parts)
-
-    def batch_restrictiveness_series(
-        self,
-        sites: list[str] | None = None,
-        agents: tuple[str, ...] = DEFAULT_PROBE_AGENTS,
-        jobs: int = 1,
-        executor: str = "process",
-        cache_dir: object = None,
-    ) -> dict[str, list[tuple[float, float]]]:
-        """Restrictiveness series for many sites at once.
-
-        Multi-site corpora are embarrassingly parallel: each site's
-        snapshots parse, compile and probe independently, and the
-        (site, text) payloads are tiny relative to the per-snapshot
-        evaluation work.  With ``jobs > 1`` the sites are chunked onto
-        the pipeline shard executor (worker processes by default;
-        ``executor`` is ``process`` or ``inline``, checked even when at
-        most one site is pending); results are identical to calling
-        :meth:`restrictiveness_series` per site and keep the input
-        site order.
-
-        With ``cache_dir`` set, each site's series is cached in a
-        persistent :class:`~repro.pipeline.store.ArtifactStore` keyed
-        by the site's snapshot history and the probe agents — the
-        weekly re-diff pattern: recording a new snapshot for one site
-        recomputes only that site, every other site loads from disk.
-        """
-        from .pipeline.shard import check_executor, chunk_evenly, run_sharded
-
-        check_executor(executor)
-        chosen = list(sites) if sites is not None else self.sites()
-        store = None
-        if cache_dir is not None:
-            from .pipeline.store import ArtifactStore
-
-            store = ArtifactStore(cache_dir)
-        series: dict[str, list[tuple[float, float]]] = {}
-        keys: dict[str, str] = {}
-        pending = chosen
-        if store is not None:
-            pending = []
-            for site in chosen:
-                key = self._history_fingerprint(site, tuple(agents))
-                keys[site] = key
-                status, value = store.load(key)
-                if status == "hit":
-                    series[site] = value
-                else:
-                    pending.append(site)
-        if jobs <= 1 or len(pending) <= 1:
-            for site in pending:
-                series[site] = self.restrictiveness_series(site, agents=agents)
-        else:
-            payloads = chunk_evenly(
-                [
-                    (
-                        site,
-                        [
-                            (snapshot.fetched_at, snapshot.text)
-                            for snapshot in self._snapshots.get(site, [])
-                        ],
-                    )
-                    for site in pending
-                ],
-                jobs,
-            )
-            worker = functools.partial(
-                _series_batch_worker, agents=tuple(agents)
-            )
-            outputs = run_sharded(worker, payloads, jobs=jobs, executor=executor)
-            for chunk in outputs:
-                for site, site_series in chunk:
-                    series[site] = site_series
-        if store is not None:
-            for site in pending:
-                store.store(keys[site], series[site])
-        return {site: series[site] for site in chosen}
-
-    def batch_tightening_slopes(
-        self,
-        sites: list[str] | None = None,
-        jobs: int = 1,
-        executor: str = "process",
-        cache_dir: object = None,
-    ) -> dict[str, float]:
-        """Tightening slope per site, batched on the shard executor."""
-        series_by_site = self.batch_restrictiveness_series(
-            sites=sites, jobs=jobs, executor=executor, cache_dir=cache_dir
-        )
-        return {
-            site: _least_squares_slope(series)
-            for site, series in series_by_site.items()
-        }
-
     def ai_series(self, site: str) -> list[tuple[float, float]]:
         """(time, AI restriction index) per snapshot."""
         return [
@@ -351,25 +233,3 @@ def _least_squares_slope(series: list[tuple[float, float]]) -> float:
     )
     return numerator / denominator
 
-
-def _series_batch_worker(
-    payload: list[tuple[str, list[tuple[float, str]]]],
-    agents: tuple[str, ...],
-) -> list[tuple[str, list[tuple[float, float]]]]:
-    """Shard worker: restrictiveness series for a chunk of sites.
-
-    Module-level (picklable) so the process executor can ship it; each
-    worker parses and compiles its own policies, which is exactly the
-    per-snapshot work the batch parallelizes.
-    """
-    out: list[tuple[str, list[tuple[float, float]]]] = []
-    for site, snapshots in payload:
-        series = [
-            (
-                fetched_at,
-                restrictiveness(RobotsPolicy.from_text(text), agents=agents),
-            )
-            for fetched_at, text in snapshots
-        ]
-        out.append((site, series))
-    return out

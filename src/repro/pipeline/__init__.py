@@ -20,7 +20,7 @@ the contract:
     inside a :class:`ShardStage`.
 
 **Sharding** (:mod:`repro.pipeline.shard`)
-    Deterministic crc32 hash partitioning by site (or IP), an
+    Deterministic crc32 hash partitioning by site, an
     order-restoring merge, and the process/inline executors (plus the
     ``queue`` spool of :mod:`repro.distributed`).  The
     parity guarantee — sharded output == sequential output, enforced
@@ -66,7 +66,7 @@ Quickstart::
     pipeline = build_study_pipeline(
         source=RecordSource.from_file("study.jsonl"),
         scenario=default_scenario(),
-        config=PipelineConfig(jobs=4, shard_by="site"),
+        config=PipelineConfig(jobs=4),
         cache_dir=".repro-cache",            # incremental re-analysis
     )
     table = pipeline.get("category_table")       # Table 5
@@ -78,7 +78,6 @@ from .context import PipelineConfig, PipelineContext, RecordSource
 from .runner import Pipeline
 from .shard import (
     Shard,
-    chunk_evenly,
     partition_batches,
     restore_order,
     run_sharded,
@@ -113,7 +112,6 @@ __all__ = [
     "StoreInfo",
     "VERSION_DIRECTIVES",
     "build_study_pipeline",
-    "chunk_evenly",
     "fingerprint_batch",
     "fingerprint_stream",
     "partition_batches",

@@ -3,9 +3,8 @@
 Three small objects shared by every stage of a pipeline run:
 
 :class:`PipelineConfig`
-    How to execute — worker count (``jobs``), the shard key
-    (``shard_by``: ``site`` partitions by ``sitename``, ``ip`` by
-    ``ip_hash``), and the shard executor backend (``process`` for true
+    How to execute — worker count (``jobs``; shards always hash
+    ``sitename``) and the shard executor backend (``process`` for true
     parallelism, ``inline`` for deterministic in-process runs, ``queue``
     for a filesystem spool served by worker processes).
 
@@ -36,7 +35,6 @@ from ..exceptions import PipelineError
 from ..logs.columnar import DEFAULT_BATCH_RECORDS, RecordBatch, iter_batches
 from ..logs.io import iter_log_records
 from ..logs.schema import LogRecord
-from .shard import SHARD_KEY_COLUMNS
 from .store import (
     CACHE_SCHEMA,
     DEFAULT_CHUNK_RECORDS,
@@ -47,9 +45,6 @@ from .store import (
     file_sha256,
     fingerprint_stream,
 )
-
-#: Valid shard-key names (see :mod:`repro.pipeline.shard`).
-SHARD_BY_CHOICES: tuple[str, ...] = tuple(SHARD_KEY_COLUMNS)
 
 #: Valid shard executor backends.  ``queue`` dispatches shard work to
 #: a filesystem-spool task queue (:mod:`repro.distributed`) consumed by
@@ -73,7 +68,6 @@ class PipelineConfig:
     Attributes:
         jobs: shard/worker count; ``1`` means fully sequential (the
             facade default, byte-identical to the legacy code path).
-        shard_by: record attribute that keys the hash partition.
         executor: backend that runs per-shard stage work.
         drop_scanners: propagated to preprocessing (screen out
             vulnerability-scanner IP hashes, the paper's §3.1 step).
@@ -89,7 +83,6 @@ class PipelineConfig:
     """
 
     jobs: int = 1
-    shard_by: str = "site"
     executor: str = "process"
     drop_scanners: bool = True
     spool: str | None = None
@@ -98,10 +91,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise PipelineError(f"jobs must be >= 1, got {self.jobs}")
-        if self.shard_by not in SHARD_BY_CHOICES:
-            raise PipelineError(
-                f"shard_by must be one of {SHARD_BY_CHOICES}, got {self.shard_by!r}"
-            )
         if self.executor not in EXECUTOR_CHOICES:
             raise PipelineError(
                 f"executor must be one of {EXECUTOR_CHOICES}, got {self.executor!r}"

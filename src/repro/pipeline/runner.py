@@ -116,7 +116,7 @@ class Pipeline:
         """Fingerprint of everything outside the stage graph that can
         change results: free-form params (the scenario) and the
         result-affecting config knob.  Parallelism knobs (``jobs``,
-        ``executor``, ``shard_by``) are deliberately excluded — the
+        ``executor``) are deliberately excluded — the
         sharded == sequential parity guarantee means artifacts are
         interchangeable across them, so a cache written at ``--jobs 4``
         serves a ``--jobs 1`` rerun and vice versa."""

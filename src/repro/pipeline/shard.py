@@ -1,9 +1,10 @@
 """Deterministic hash sharding and the parallel shard executor.
 
-Partitioning uses ``zlib.crc32`` over the shard key rather than
-Python's builtin ``hash`` — ``hash(str)`` is salted per process
-(``PYTHONHASHSEED``), which would assign records to different shards
-in every worker and break the sharded == sequential parity guarantee.
+Partitioning uses ``zlib.crc32`` over each record's ``sitename``
+rather than Python's builtin ``hash`` — ``hash(str)`` is salted per
+process (``PYTHONHASHSEED``), which would assign records to different
+shards in every worker and break the sharded == sequential parity
+guarantee.
 crc32 is stable across processes, platforms and Python versions.
 
 Within a shard, records keep their arrival order and remember their
@@ -41,14 +42,6 @@ from ..logs.schema import LogRecord
 
 _P = TypeVar("_P")
 _R = TypeVar("_R")
-
-
-#: Shard key name -> the batch column whose value is hashed to pick a
-#: record's shard.
-SHARD_KEY_COLUMNS: dict[str, str] = {
-    "site": "sitename",
-    "ip": "ip_hash",
-}
 
 
 def shard_index(key: str, shards: int) -> int:
@@ -115,33 +108,24 @@ class Shard:
         return f"Shard(index={self.index}, records={len(self)})"
 
 
-def partition_batches(
-    batches: Iterable[RecordBatch], shards: int, shard_by: str = "site"
-) -> list[Shard]:
+def partition_batches(batches: Iterable[RecordBatch], shards: int) -> list[Shard]:
     """Partition a batch stream into ``shards`` shards, columnar-wise.
 
-    Assigns rows to shards by hashing the key *column*
-    (:data:`SHARD_KEY_COLUMNS`) with :func:`shard_index` and gathers
-    them with :meth:`RecordBatch.take` — no row objects are
-    built at any point.  Consumes ``batches`` exactly once;
-    rows with the same shard key always land in the same shard, and
-    every shard preserves the relative order of its rows.
+    Assigns rows to shards by hashing the ``sitename`` *column* with
+    :func:`shard_index` and gathers them with :meth:`RecordBatch.take`
+    — no row objects are built at any point.  Consumes ``batches``
+    exactly once; rows of the same site always land in the same shard,
+    and every shard preserves the relative order of its rows.
     """
     if shards < 1:
         raise PipelineError(f"shard count must be >= 1, got {shards}")
-    try:
-        column_name = SHARD_KEY_COLUMNS[shard_by]
-    except KeyError:
-        raise PipelineError(
-            f"unknown shard key {shard_by!r}; choose from {sorted(SHARD_KEY_COLUMNS)}"
-        ) from None
     parts = [
         Shard(index=i, batch=RecordBatch(), positions=[])
         for i in range(shards)
     ]
     offset = 0
     for batch in batches:
-        keys = batch.column(column_name)
+        keys = batch.column("sitename")
         buckets: dict[int, list[int]] = {}
         for row, key in enumerate(keys):
             buckets.setdefault(shard_index(key, shards), []).append(row)
@@ -197,30 +181,6 @@ def restore_order(
     return merged  # type: ignore[return-value]
 
 
-def chunk_evenly(items: Sequence[_P], parts: int) -> list[list[_P]]:
-    """Split ``items`` into at most ``parts`` contiguous, order-preserving
-    chunks (for payloads that are per-site batches rather than records)."""
-    parts = max(1, min(parts, len(items)))
-    size, remainder = divmod(len(items), parts)
-    chunks: list[list[_P]] = []
-    start = 0
-    for i in range(parts):
-        end = start + size + (1 if i < remainder else 0)
-        chunks.append(list(items[start:end]))
-        start = end
-    return chunks
-
-
-def check_executor(executor: str) -> None:
-    """Raise :class:`PipelineError` unless :func:`run_sharded` accepts
-    ``executor``.  The ``queue`` backend is
-    :func:`repro.distributed.coordinator.run_sharded_queue`."""
-    if executor not in ("process", "inline"):
-        raise PipelineError(
-            f"unknown executor {executor!r}; choose 'process' or 'inline'"
-        )
-
-
 def _process_context():
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
@@ -236,11 +196,16 @@ def run_sharded(
 ) -> list[_R]:
     """Run ``worker`` over each payload, results aligned with inputs.
 
-    ``executor`` is checked (:func:`check_executor`) before anything
-    runs.  ``jobs <= 1``, a single payload, or ``executor="inline"``
-    all degrade to a plain loop — no pool, no pickling.
+    ``executor`` must be ``process`` or ``inline`` (the ``queue``
+    backend is :func:`repro.distributed.coordinator.run_sharded_queue`)
+    and is checked before anything runs.  ``jobs <= 1``, a single
+    payload, or ``executor="inline"`` all degrade to a plain loop — no
+    pool, no pickling.
     """
-    check_executor(executor)
+    if executor not in ("process", "inline"):
+        raise PipelineError(
+            f"unknown executor {executor!r}; choose 'process' or 'inline'"
+        )
     if jobs <= 1 or len(payloads) <= 1 or executor == "inline":
         return [worker(payload) for payload in payloads]
     with ProcessPoolExecutor(

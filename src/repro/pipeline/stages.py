@@ -36,7 +36,7 @@ still key the stages below them.
 
 With ``config.jobs > 1`` the ``preprocess`` stage becomes a
 :class:`~repro.pipeline.stage.ShardStage`: the record stream is hash-
-partitioned by site (or IP), each shard is enriched in a parallel
+partitioned by site, each shard is enriched in a parallel
 worker (:func:`repro.logs.preprocess.preprocess_shard`), and the
 merge hook applies the scanner screen to *merged* counters and
 restores original stream order
@@ -127,9 +127,7 @@ def _partition_stage(context: PipelineContext):
     """
     source = context.source
     assert source is not None
-    return partition_batches(
-        source.batches(), context.config.jobs, context.config.shard_by
-    )
+    return partition_batches(source.batches(), context.config.jobs)
 
 
 def _preprocess_report(context: PipelineContext):

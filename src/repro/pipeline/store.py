@@ -162,20 +162,6 @@ class SourceFingerprint:
     digest: str
     records: int
 
-    def shared_prefix(self, other: "SourceFingerprint") -> int:
-        """Number of leading chunks two fingerprints agree on.
-
-        An append-only mutation leaves every full chunk before the
-        append point identical, so ``shared_prefix`` localizes where
-        two corpora diverge without re-reading either.
-        """
-        shared = 0
-        for mine, theirs in zip(self.chunks, other.chunks):
-            if mine != theirs:
-                break
-            shared += 1
-        return shared
-
 
 def fingerprint_stream(
     records: Iterable[LogRecord], chunk_records: int = DEFAULT_CHUNK_RECORDS

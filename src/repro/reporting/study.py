@@ -69,7 +69,6 @@ class StudyAnalysis:
         jobs: shard/worker count for preprocessing; ``1`` (default)
             runs fully sequentially.  Sharded (``jobs > 1``) and
             sequential runs produce byte-identical artifacts.
-        shard_by: hash-partition key, ``"site"`` or ``"ip"``.
         executor: shard backend (``process``/``inline``/``queue``;
             ``queue`` requires ``spool``).
         spool: spool directory for the ``queue`` executor — shared
@@ -95,7 +94,6 @@ class StudyAnalysis:
         dataset: StudyDataset | None,
         preprocessor: Preprocessor | None = None,
         jobs: int = 1,
-        shard_by: str = "site",
         executor: str = "process",
         spool: str | None = None,
         workers: int | None = None,
@@ -113,7 +111,6 @@ class StudyAnalysis:
             scenario=self.scenario,
             config=PipelineConfig(
                 jobs=jobs,
-                shard_by=shard_by,
                 executor=executor,
                 spool=spool,
                 workers=workers,

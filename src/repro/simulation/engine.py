@@ -10,7 +10,6 @@ with hashed IPs, yielding the dataset the analysis pipeline consumes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..bots.agent import BotAgent
@@ -90,30 +89,6 @@ class StudyDataset:
         across serialization formats (JSONL/CSV/Parquet round-trips).
         """
         return self.source().fingerprint().digest
-
-    def batches(self, size: int | None = None) -> Iterator["object"]:
-        """The dataset as a :class:`~repro.logs.columnar.RecordBatch`
-        stream (``size`` rows per batch), for columnar consumers."""
-        from ..logs.columnar import DEFAULT_BATCH_RECORDS, iter_batches
-
-        return iter_batches(
-            self.records, size if size is not None else DEFAULT_BATCH_RECORDS
-        )
-
-    def iter_shards(
-        self, shards: int, shard_by: str = "site"
-    ) -> Iterator["object"]:
-        """Deterministic hash shards of the dataset's records.
-
-        Yields :class:`~repro.pipeline.shard.Shard` objects — the same
-        partition the sharded analysis pipeline consumes, so callers
-        can feed shards to their own distributed workers while keeping
-        the pipeline's parity guarantees (stable crc32 assignment,
-        per-shard order preservation, original positions retained).
-        """
-        from ..pipeline.shard import partition_batches
-
-        yield from partition_batches(self.batches(), shards, shard_by)
 
     def __len__(self) -> int:
         return len(self.records)

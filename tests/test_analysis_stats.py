@@ -10,7 +10,6 @@ from repro.analysis.stats import (
     ProportionSample,
     two_proportion_z_test,
     weighted_average,
-    wilson_interval,
 )
 
 
@@ -136,23 +135,6 @@ class TestWeightedAverage:
         assert min(values) - 1e-9 <= average <= max(values) + 1e-9
 
 
-class TestWilson:
-    def test_contains_point_estimate(self):
-        sample = ProportionSample(30, 100)
-        low, high = wilson_interval(sample)
-        assert low < sample.proportion < high
-
-    def test_95_percent_interval_value(self):
-        low, high = wilson_interval(ProportionSample(30, 100))
-        assert (round(low, 6), round(high, 6)) == (0.218949, 0.395849)
-
-    def test_empty_sample_full_interval(self):
-        assert wilson_interval(ProportionSample(0, 0)) == (0.0, 1.0)
-
-    def test_narrower_with_more_data(self):
-        small = wilson_interval(ProportionSample(3, 10))
-        large = wilson_interval(ProportionSample(300, 1000))
-        assert (large[1] - large[0]) < (small[1] - small[0])
-
+class TestConstants:
     def test_alpha_constant(self):
         assert ALPHA == 0.05

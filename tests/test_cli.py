@@ -134,6 +134,12 @@ class TestCountAndChoiceValidation:
             (["analyze", "LOG", "--executor", "thread"], "invalid choice: 'thread'"),
             (["scenarios", "run", "--executor", "thread"], "invalid choice"),
             (["serve", "--asgi"], "unrecognized arguments: --asgi"),
+            # Shards always hash sitename; the shard-key option is gone.
+            (
+                ["analyze", "LOG", "--shard-by", "site"],
+                "unrecognized arguments: --shard-by site",
+            ),
+            (["report", "--shard-by", "ip"], "unrecognized arguments: --shard-by ip"),
         ],
     )
     def test_bad_count_exits_2_with_usage(self, tmp_path, capsys, argv, message):
@@ -157,22 +163,18 @@ class TestCountAndChoiceValidation:
 
     def test_choices_come_from_the_pipeline_config(self):
         from repro.cli import build_parser
-        from repro.pipeline.context import EXECUTOR_CHOICES, SHARD_BY_CHOICES
-        from repro.pipeline.shard import SHARD_KEY_COLUMNS
+        from repro.pipeline.context import EXECUTOR_CHOICES
 
-        assert SHARD_BY_CHOICES == tuple(SHARD_KEY_COLUMNS)
         assert EXECUTOR_CHOICES == ("process", "inline", "queue")
         subparsers = build_parser()._subparsers._group_actions[0].choices
         options = {
             (command, action.dest): tuple(action.choices)
             for command, parser in subparsers.items()
             for action in parser._actions
-            if action.dest in ("shard_by", "executor")
+            if action.dest == "executor"
         }
         assert options == {
-            ("analyze", "shard_by"): SHARD_BY_CHOICES,
             ("analyze", "executor"): EXECUTOR_CHOICES,
-            ("report", "shard_by"): SHARD_BY_CHOICES,
             ("scenarios", "executor"): EXECUTOR_CHOICES,
         }
 

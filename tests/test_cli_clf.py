@@ -94,6 +94,6 @@ class TestAnalyzeClfCommand:
         ]
         assert main(args) == 0
         sequential = capsys.readouterr().out
-        assert main(args + ["--jobs", "2", "--shard-by", "ip"]) == 0
+        assert main(args + ["--jobs", "2"]) == 0
         sharded = capsys.readouterr().out
         assert sharded == sequential

@@ -135,18 +135,14 @@ def _artifact_bytes(pipeline, name):
 @given(
     st.lists(record_strategy, min_size=0, max_size=100),
     st.integers(min_value=2, max_value=6),
-    st.sampled_from(["site", "ip"]),
 )
-def test_batch_partitioner_matches_row_partitioner(records, shards, shard_by):
-    # Row oracle: crc32 of each record's key, in stream order.
-    attribute = {"site": "sitename", "ip": "ip_hash"}[shard_by]
+def test_batch_partitioner_matches_row_partitioner(records, shards):
+    # Row oracle: crc32 of each record's site, in stream order.
     expected = [[] for _ in range(shards)]
     for position, record in enumerate(records):
-        key = getattr(record, attribute).encode("utf-8")
+        key = record.sitename.encode("utf-8")
         expected[zlib.crc32(key) % shards].append(position)
-    by_batches = partition_batches(
-        iter_batches(iter(_copy(records)), 7), shards, shard_by=shard_by
-    )
+    by_batches = partition_batches(iter_batches(iter(_copy(records)), 7), shards)
     assert [shard.positions for shard in by_batches] == expected
     for shard in by_batches:
         assert [r.to_dict() for r in shard.records] == [

@@ -14,7 +14,6 @@ from repro.pipeline import (
     PipelineConfig,
     RecordSource,
     Shard,
-    chunk_evenly,
     partition_batches,
     run_sharded,
     shard_index,
@@ -35,9 +34,9 @@ def make_record(site="a.example", ip="ip-1", when=0.0, path="/"):
     )
 
 
-def partition(records, shards, shard_by="site"):
+def partition(records, shards):
     """Partition a record list, in odd-sized batches."""
-    return partition_batches(iter_batches(records, 7), shards, shard_by)
+    return partition_batches(iter_batches(records, 7), shards)
 
 
 def counting_stage(name, calls, deps=(), value=None):
@@ -324,25 +323,10 @@ class TestSharding:
             float(i) for i in range(9)
         ]
 
-    def test_shard_by_ip(self):
-        records = [make_record(ip=f"ip-{i % 3}") for i in range(12)]
-        shards = partition(records, 3, shard_by="ip")
-        for shard in shards:
-            assert len({record.ip_hash for record in shard.records}) <= 3
-
-    def test_unknown_shard_key_rejected(self):
-        with pytest.raises(PipelineError):
-            partition([], 2, shard_by="nope")
-
     def test_payload_shard_needs_a_fingerprint(self):
         with pytest.raises(PipelineError, match="explicit fingerprint"):
             Shard(index=0, records=[make_record()])
         assert Shard(index=0, records=["cell"], fingerprint="f").records == ["cell"]
-
-    def test_chunk_evenly_preserves_order(self):
-        chunks = chunk_evenly(list(range(10)), 3)
-        assert [len(chunk) for chunk in chunks] == [4, 3, 3]
-        assert [x for chunk in chunks for x in chunk] == list(range(10))
 
     @pytest.mark.parametrize("executor", ["thread", "bogus"])
     def test_config_rejects_unknown_executor(self, executor):
@@ -372,18 +356,6 @@ class TestSharding:
         with pytest.raises(PipelineError, match="'process' or 'inline'"):
             run_sharded(worker, payloads, jobs=jobs, executor=executor)
         assert ran == []
-
-    @pytest.mark.parametrize("sites", [0, 1, 3])
-    def test_observatory_batch_checks_executor_whatever_is_pending(
-        self, sites
-    ):
-        from repro.observatory import RobotsObservatory
-
-        observatory = RobotsObservatory()
-        for index in range(sites):
-            observatory.record(f"s{index}.example", 0.0, "User-agent: *\n")
-        with pytest.raises(PipelineError, match="unknown executor 'thread'"):
-            observatory.batch_tightening_slopes(jobs=2, executor="thread")
 
 
 class TestPartialScenario:
@@ -447,17 +419,7 @@ class TestPartialScenario:
                 lookup(RobotsVersion.V3_DISALLOW_ALL)
 
 
-class TestDatasetShardIterator:
-    def test_iter_shards_covers_dataset(self, quick_dataset):
-        shards = list(quick_dataset.iter_shards(4))
-        assert sum(len(shard) for shard in shards) == len(quick_dataset)
-        sites_per_shard = [
-            {record.sitename for record in shard.records} for shard in shards
-        ]
-        for left in range(len(sites_per_shard)):
-            for right in range(left + 1, len(sites_per_shard)):
-                assert not (sites_per_shard[left] & sites_per_shard[right])
-
+class TestDatasetSource:
     def test_dataset_source_is_zero_copy(self, quick_dataset):
         streamed = quick_dataset.source().stream()
         assert all(

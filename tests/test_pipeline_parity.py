@@ -109,16 +109,15 @@ def test_sharded_equals_sequential_on_random_datasets(records):
 @given(
     st.lists(record_strategy, min_size=0, max_size=120),
     st.integers(min_value=2, max_value=6),
-    st.sampled_from(["site", "ip"]),
 )
-def test_parity_holds_for_any_shard_count_and_key(records, jobs, shard_by):
+def test_parity_holds_for_any_shard_count_and_key(records, jobs):
     sequential = build_study_pipeline(
         source=list(records), scenario=SCENARIO, config=PipelineConfig(jobs=1)
     )
     sharded = build_study_pipeline(
         source=list(records),
         scenario=SCENARIO,
-        config=PipelineConfig(jobs=jobs, shard_by=shard_by, executor="inline"),
+        config=PipelineConfig(jobs=jobs, executor="inline"),
     )
     assert sharded.get("preprocess")[1] == sequential.get("preprocess")[1]
     assert sharded.get("per_bot") == sequential.get("per_bot")
@@ -140,31 +139,3 @@ class TestProcessExecutorParity:
                 run_experiment(experiment_id, sharded).rendered
                 == run_experiment(experiment_id, quick_analysis).rendered
             ), experiment_id
-
-
-class TestObservatoryBatchParity:
-    def test_batch_series_matches_sequential(self):
-        from repro.observatory import RobotsObservatory
-
-        observatory = RobotsObservatory()
-        for index in range(9):
-            site = f"site-{index % 3}.example"
-            text = (
-                "User-agent: *\n"
-                f"Disallow: /private-{index}\n"
-                + ("Disallow: /news/\n" if index % 2 else "")
-            )
-            observatory.record(site, float(index) * 86_400.0, text)
-        sequential = {
-            site: observatory.restrictiveness_series(site)
-            for site in observatory.sites()
-        }
-        batched = observatory.batch_restrictiveness_series(
-            jobs=2, executor="process"
-        )
-        assert batched == sequential
-        slopes = observatory.batch_tightening_slopes(jobs=2, executor="inline")
-        assert slopes == {
-            site: observatory.tightening_slope(site)
-            for site in observatory.sites()
-        }

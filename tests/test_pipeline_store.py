@@ -184,7 +184,8 @@ class TestFingerprints:
         assert len(base.chunks) == 3  # 4 + 4 + 2
         assert base.digest != grown.digest
         # The two full leading chunks survive the append untouched.
-        assert base.shared_prefix(grown) == 2
+        assert base.chunks[:2] == grown.chunks[:2]
+        assert base.chunks[2] != grown.chunks[2]
 
     def test_fingerprint_ignores_enrichment_columns(self):
         record = _record((SITES[0], USER_AGENTS[0], "ip-1", 15169, "/", 5))
@@ -763,51 +764,3 @@ class TestIntegration:
         again = second.run_all(["T5"])
         assert results["T5"].rendered == again["T5"].rendered
         assert second.cache_stats.misses == 0
-
-    def test_observatory_batch_series_cache(self, tmp_path, monkeypatch):
-        from repro.observatory import RobotsObservatory
-
-        observatory = RobotsObservatory()
-        for index in range(9):
-            site = f"site-{index % 3}.example"
-            text = (
-                "User-agent: *\n"
-                f"Disallow: /private-{index}\n"
-                + ("Disallow: /news/\n" if index % 2 else "")
-            )
-            observatory.record(site, float(index) * 86_400.0, text)
-
-        fresh = observatory.batch_restrictiveness_series(cache_dir=tmp_path)
-        assert set(fresh) == set(observatory.sites())
-
-        calls: list[str] = []
-        original = RobotsObservatory.restrictiveness_series
-
-        def counting(self, site, agents=None, **kwargs):
-            calls.append(site)
-            if agents is None:
-                return original(self, site)
-            return original(self, site, agents=agents)
-
-        monkeypatch.setattr(
-            RobotsObservatory, "restrictiveness_series", counting
-        )
-        cached = observatory.batch_restrictiveness_series(cache_dir=tmp_path)
-        assert cached == fresh
-        assert calls == []  # every site served from the store
-
-        # Recording a new snapshot invalidates exactly that site.
-        observatory.record(
-            "site-1.example", 30.0 * 86_400.0, "User-agent: *\nDisallow: /\n"
-        )
-        updated = observatory.batch_restrictiveness_series(cache_dir=tmp_path)
-        assert calls == ["site-1.example"]
-        assert len(updated["site-1.example"]) == len(fresh["site-1.example"]) + 1
-        for site in ("site-0.example", "site-2.example"):
-            assert updated[site] == fresh[site]
-
-        slopes = observatory.batch_tightening_slopes(cache_dir=tmp_path)
-        assert slopes == {
-            site: observatory.tightening_slope(site)
-            for site in observatory.sites()
-        }
