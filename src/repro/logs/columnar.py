@@ -16,7 +16,9 @@ fixed-size batches and hashes each raw column in one call, and the
 shard partitioner (:func:`repro.pipeline.shard.partition_batches`)
 gathers batches by key column into batch-backed shards.  The Parquet
 codec (:mod:`repro.logs.parquet`) uses them internally as row groups.
-The analysis reducers fold row objects.
+The analysis reducers fold row objects.  The cached ``preprocess``
+records are a :class:`RecordList`: a plain row list in memory that
+pickles as dictionary-encoded columns.
 Row objects remain available everywhere as thin views —
 :meth:`RecordBatch.row` / :meth:`RecordBatch.rows` build
 :class:`~repro.logs.schema.LogRecord` objects on demand — and the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from operator import attrgetter
 
 from ..exceptions import LogSchemaError
 from ..uaparse.categories import BotCategory
@@ -156,12 +159,6 @@ class RecordBatch:
         except KeyError:
             raise LogSchemaError(f"unknown column {name!r}") from None
 
-    def slice(self, start: int, stop: int) -> "RecordBatch":
-        """Rows ``start:stop`` as a new batch (columns are copied)."""
-        return RecordBatch(
-            {name: column[start:stop] for name, column in self._columns.items()}
-        )
-
     def take(self, positions: Sequence[int]) -> "RecordBatch":
         """Gather the given row positions into a new batch, in order."""
         out: dict[str, "array | list"] = {}
@@ -217,6 +214,45 @@ class RecordBatch:
         return f"RecordBatch(records={len(self)})"
 
 
+class RecordList(list):
+    """A ``list[LogRecord]`` that pickles as dictionary-encoded columns.
+
+    In memory it is a plain list of row objects; only its pickled form
+    differs.  :meth:`__reduce__` packs each :data:`COLUMN_SPECS` column
+    once: numeric columns as raw ``array`` bytes, string and category
+    columns as a first-appearance value table plus ``array('I')``
+    codes, so a value that repeats on every row (a site, a user agent,
+    a bot name) is stored once instead of once per record.  Unpickling
+    rebuilds equal rows in order, sharing one object per distinct
+    value.  The cached ``preprocess`` artifact is one of these.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        columns = []
+        for spec in COLUMN_SPECS:
+            values = list(map(attrgetter(spec.attr), self))
+            code = _TYPECODES.get(spec.kind)
+            if code:
+                columns.append(array(code, values))
+            else:
+                table = tuple(dict.fromkeys(values))
+                codes = {value: index for index, value in enumerate(table)}
+                columns.append((table, array("I", map(codes.__getitem__, values))))
+        return _unpack_records, (tuple(columns),)
+
+
+def _unpack_records(columns: tuple) -> RecordList:
+    """Rebuild a :class:`RecordList` from :meth:`RecordList.__reduce__`'s
+    columns (``LogRecord`` fields are in ``COLUMN_SPECS`` order)."""
+    rebuilt = [
+        column if isinstance(column, array) else map(column[0].__getitem__, column[1])
+        for column in columns
+    ]
+    return RecordList(map(LogRecord, *rebuilt))
+
+
 def iter_batches(
     records: Iterable[LogRecord], batch_records: int = DEFAULT_BATCH_RECORDS
 ) -> Iterator[RecordBatch]:
@@ -233,10 +269,3 @@ def iter_batches(
             batch = RecordBatch()
     if batch:
         yield batch
-
-
-def rows_of(batches: Iterable[RecordBatch]) -> Iterator[LogRecord]:
-    """Flatten a batch stream into a lazy row stream (thin view)."""
-    for batch in batches:
-        yield from batch.rows()
-

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from ..asn.whois import WhoisClient
 from ..uaparse.categories import BotCategory
 from ..uaparse.registry import BotRegistry, default_registry
+from .columnar import RecordList
 from .schema import LogRecord
 
 #: Request-path fragments typical of vulnerability scanners.  An IP
@@ -62,15 +63,21 @@ def scanner_stats(
     mergeable across shards (plain ``Counter`` addition), which is what
     lets the sharded pipeline screen scanners *globally* — an IP's
     traffic may span sites, so per-shard thresholds would diverge from
-    the sequential result.
+    the sequential result.  :func:`looks_like_probe` runs once per
+    distinct path.
     """
     totals: Counter[str] = Counter()
     probes: Counter[str] = Counter()
+    is_probe: dict[str, bool] = {}
     seen = 0
     for record in records:
         seen += 1
         totals[record.ip_hash] += 1
-        if looks_like_probe(record.uri_path):
+        path = record.uri_path
+        probe = is_probe.get(path)
+        if probe is None:
+            probe = is_probe[path] = looks_like_probe(path)
+        if probe:
             probes[record.ip_hash] += 1
     return seen, totals, probes
 
@@ -145,7 +152,9 @@ class Preprocessor:
     ) -> tuple[list[LogRecord], PreprocessReport]:
         """Filter and enrich ``records`` (enrichment mutates in place).
 
-        Returns the surviving records and a :class:`PreprocessReport`.
+        Returns the surviving records (a
+        :class:`~repro.logs.columnar.RecordList`, which pickles as
+        columns) and a :class:`PreprocessReport`.
         """
         scanner_ips = (
             find_scanner_ips(records) if self._drop_scanners else set()
@@ -166,7 +175,7 @@ class Preprocessor:
         """
         report = PreprocessReport(scanner_ips=scanner_ips)
         seen = 0
-        kept: list[LogRecord] = []
+        kept = RecordList()
         asns: set[int] = set()
         for record in records:
             seen += 1
@@ -304,7 +313,7 @@ def merge_preprocess_shards(
     report = PreprocessReport(
         input_records=total_records, scanner_ips=scanner_ips
     )
-    kept: list[LogRecord] = []
+    kept = RecordList()
     asns: set[int] = set()
     for record in merged:
         if record.ip_hash in scanner_ips:

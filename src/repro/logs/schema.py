@@ -26,7 +26,7 @@ def to_iso8601(epoch: float) -> str:
 
 def from_iso8601(text: str) -> float:
     """Parse an ISO-8601 timestamp back to epoch seconds."""
-    return datetime.fromisoformat(text.replace("Z", "+00:00")).timestamp()
+    return datetime.fromisoformat(text).timestamp()
 
 
 def is_robots_path(path: str) -> bool:
@@ -116,18 +116,18 @@ class LogRecord:
         """Inverse of :meth:`to_dict` (enrichment fields optional)."""
         category = row.get("bot_category")
         return cls(
-            useragent=row["useragent"],
-            timestamp=from_iso8601(row["timestamp"]),
-            ip_hash=row["ip_hash"],
-            asn=int(row["asn"]),
-            sitename=row["sitename"],
-            uri_path=row["uri_path"],
-            status_code=int(row["status_code"]),
-            bytes_sent=int(row["bytes"]),
-            referer=row.get("referer") or None,
-            bot_name=row.get("bot_name") or None,
-            bot_category=BotCategory.from_label(category) if category else None,
-            asn_name=row.get("asn_name") or None,
+            row["useragent"],
+            from_iso8601(row["timestamp"]),
+            row["ip_hash"],
+            int(row["asn"]),
+            row["sitename"],
+            row["uri_path"],
+            int(row["status_code"]),
+            int(row["bytes"]),
+            row.get("referer") or None,
+            row.get("bot_name") or None,
+            BotCategory.from_label(category) if category else None,
+            row.get("asn_name") or None,
         )
 
 

@@ -8,7 +8,8 @@ phases of two weeks each.
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
+from functools import lru_cache
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -25,8 +26,19 @@ def epoch(iso_date: str) -> float:
 
 
 def iso_day(epoch_seconds: float) -> str:
-    """``YYYY-MM-DD`` (UTC) for an epoch timestamp."""
-    return datetime.fromtimestamp(epoch_seconds, tz=timezone.utc).strftime("%Y-%m-%d")
+    """``YYYY-MM-DD`` (UTC) for an epoch timestamp.
+
+    The day comes from ``fromtimestamp`` itself, which rounds to the
+    microsecond (an epoch a hair below midnight is already the next
+    day); only the rendering is memoized per calendar day.
+    """
+    stamp = datetime.fromtimestamp(epoch_seconds, tz=timezone.utc)
+    return _day_text(stamp.toordinal())
+
+
+@lru_cache(maxsize=4096)
+def _day_text(ordinal: int) -> str:
+    return date.fromordinal(ordinal).strftime("%Y-%m-%d")
 
 
 def day_range(start: float, end: float) -> list[float]:

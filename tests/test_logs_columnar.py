@@ -1,7 +1,8 @@
 """Unit tests for the columnar record backend.
 
 Covers the struct-of-arrays :class:`RecordBatch` core, the batch
-streaming helpers (``iter_batches`` / ``rows_of``), IO round-trips
+streaming helper (``iter_batches``), the dictionary-encoded pickle form
+of :class:`RecordList` (the cached ``preprocess`` records), IO round-trips
 through the format dispatchers (``write_log`` / ``iter_log_records``)
 for every storage format, and the schema's ``"" -> None``
 normalization asymmetry that every read path must apply identically
@@ -13,11 +14,16 @@ only when it is not, so the suite is green in both worlds.
 """
 
 import json
+import pickle
+from dataclasses import fields
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import LogSchemaError, MissingDependencyError
-from repro.logs.columnar import RecordBatch, iter_batches, rows_of
+from repro.logs.columnar import RecordBatch, RecordList, iter_batches
 from repro.logs.io import (
     convert_log,
     iter_log_records,
@@ -26,7 +32,7 @@ from repro.logs.io import (
     write_log,
 )
 from repro.logs.parquet import HAVE_PYARROW, read_parquet, write_parquet
-from repro.logs.schema import CSV_COLUMNS, LogRecord
+from repro.logs.schema import COLUMN_SPECS, CSV_COLUMNS, LogRecord
 from repro.pipeline.store import fingerprint_stream
 from repro.uaparse.categories import BotCategory
 
@@ -92,10 +98,9 @@ class TestRecordBatchCore:
         with pytest.raises(LogSchemaError, match="unknown column"):
             RecordBatch().column("nope")
 
-    def test_slice_and_take(self):
+    def test_take(self):
         records = sample_records(6)
         batch = RecordBatch.from_records(records)
-        assert batch.slice(2, 5).to_records() == records[2:5]
         assert batch.take([5, 0, 3]).to_records() == [
             records[5],
             records[0],
@@ -127,11 +132,106 @@ class TestBatchStreaming:
         records = sample_records(7)
         batches = list(iter_batches(iter(records), 3))
         assert [len(b) for b in batches] == [3, 3, 1]
-        assert list(rows_of(batches)) == records
+        assert list(chain.from_iterable(batches)) == records
 
     def test_iter_batches_rejects_bad_size(self):
         with pytest.raises(LogSchemaError):
             list(iter_batches([], 0))
+
+
+# Value pools: repeats exercise the dictionary encoding, free text the
+# non-ASCII and all-distinct cases.
+_POOL = ["GPTBot/1.0", "/robots.txt", "ü-ö", "机器人", ""]
+_TEXT = st.sampled_from(_POOL) | st.text(max_size=8)
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+record_strategy = st.builds(
+    LogRecord,
+    useragent=_TEXT,
+    timestamp=st.floats(min_value=-1e10, max_value=1e11),
+    ip_hash=_TEXT,
+    asn=_INT64,
+    sitename=_TEXT,
+    uri_path=_TEXT,
+    status_code=_INT64,
+    bytes_sent=_INT64,
+    referer=st.none() | _TEXT,
+    bot_name=st.none() | _TEXT,
+    bot_category=st.none() | st.sampled_from(list(BotCategory)),
+    asn_name=st.none() | _TEXT,
+)
+
+
+def assert_round_trips(records: list[LogRecord]) -> None:
+    packed = RecordList(records)
+    for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+        back = pickle.loads(pickle.dumps(packed, protocol=protocol))
+        assert type(back) is RecordList
+        assert back == records
+        assert [row.to_dict() for row in back] == [
+            row.to_dict() for row in records
+        ]
+        for row, original in zip(back, records):
+            for field in fields(LogRecord):
+                assert type(getattr(row, field.name)) is type(
+                    getattr(original, field.name)
+                )
+
+
+class TestRecordListPickle:
+    """A RecordList pickles as columns and unpickles to equal rows."""
+
+    def test_field_order_matches_the_column_registry(self):
+        # Unpickling builds rows positionally from COLUMN_SPECS order.
+        assert [field.name for field in fields(LogRecord)] == [
+            spec.attr for spec in COLUMN_SPECS
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(record_strategy, max_size=12))
+    def test_round_trip(self, records):
+        assert_round_trips(records)
+
+    def test_empty(self):
+        assert_round_trips([])
+
+    def test_none_in_every_nullable_column(self):
+        records = sample_records(3)
+        for record in records:
+            record.referer = record.bot_name = None
+            record.bot_category = record.asn_name = None
+        assert_round_trips(records)
+
+    def test_every_bot_category(self):
+        records = sample_records(len(BotCategory) + 1)
+        for record, category in zip(records, [*BotCategory, None]):
+            record.bot_category = category
+        assert_round_trips(records)
+
+    def test_all_equal_columns(self):
+        (record,) = sample_records(1)
+        records = [pickle.loads(pickle.dumps(record)) for _ in range(5)]
+        assert_round_trips(records)
+
+    def test_all_distinct_columns(self):
+        records = [
+            LogRecord(
+                useragent=f"ua-{index}",
+                timestamp=index + 0.25,
+                ip_hash=f"ip-{index}",
+                asn=index,
+                sitename=f"site-{index}.example",
+                uri_path=f"/päge/{index}",
+                status_code=200 + index,
+                bytes_sent=index,
+                referer=f"https://ref-{index}.example/",
+                bot_name=f"Bot{index}",
+                bot_category=list(BotCategory)[index % len(BotCategory)],
+                asn_name=f"AS-{index}",
+            )
+            for index in range(9)
+        ]
+        assert_round_trips(records)
 
 
 class TestBatchIO:
@@ -153,7 +253,8 @@ class TestBatchIO:
         row_path = tmp_path / "rows.jsonl"
         batch_path = tmp_path / "batches.jsonl"
         write_jsonl(records, row_path)
-        write_log(rows_of(iter_batches(iter(records), 2)), batch_path, "jsonl")
+        rows = chain.from_iterable(iter_batches(iter(records), 2))
+        write_log(rows, batch_path, "jsonl")
         assert batch_path.read_bytes() == row_path.read_bytes()
 
     def test_clf_round_trip_keeps_core_fields(self, tmp_path):

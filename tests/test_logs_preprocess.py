@@ -1,5 +1,10 @@
 """Unit tests for log preprocessing: scanners, enrichment."""
 
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.logs.preprocess import (
     Preprocessor,
     find_scanner_ips,
@@ -7,6 +12,7 @@ from repro.logs.preprocess import (
     looks_like_probe,
     records_by_bot,
     records_by_category,
+    scanner_stats,
 )
 from repro.logs.schema import LogRecord
 from repro.uaparse.categories import BotCategory
@@ -56,6 +62,35 @@ class TestScannerDetection:
         records = [record(path="/.env", ip="mixed") for _ in range(10)]
         records += [record(path="/news/a", ip="mixed") for _ in range(30)]
         assert find_scanner_ips(records) == set()
+
+
+def per_record_scanner_stats(records):
+    """The oracle: one ``looks_like_probe`` call per record."""
+    totals, probes = Counter(), Counter()
+    for row in records:
+        totals[row.ip_hash] += 1
+        if looks_like_probe(row.uri_path):
+            probes[row.ip_hash] += 1
+    return len(records), totals, probes
+
+
+class TestScannerStats:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["ip1", "ip2", "ip3"]),
+                st.sampled_from(
+                    ["/", "/.env", "/WP-Admin/x", "/news/a", "/cgi-bin/", "/ä"]
+                )
+                | st.text(max_size=12),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_per_record_oracle(self, rows):
+        records = [record(path=path, ip=ip) for ip, path in rows]
+        assert scanner_stats(iter(records)) == per_record_scanner_stats(records)
 
 
 class TestPreprocessor:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.bots.profiles import build_profiles
 from repro.exceptions import PipelineError
 from repro.logs import io as log_io
-from repro.logs.columnar import RecordBatch
+from repro.logs.columnar import RecordBatch, RecordList
 from repro.logs.io import iter_log_records, write_log
 from repro.logs.schema import LogRecord
 from repro.pipeline import (
@@ -725,6 +725,40 @@ class TestSourceFingerprintMemo:
         assert rows_read["rows"] == before
         assert warm.context.stats.misses == 0
         assert "preprocess" not in warm.context.stats.stage_events
+
+
+class TestPreprocessArtifactFormat:
+    """``preprocess`` records pickle as a :class:`RecordList`; a cache
+    filled before that stored a plain pickled ``list[LogRecord]``,
+    which must still be served as a hit."""
+
+    def _pipeline(self, records, cache_dir):
+        return build_study_pipeline(
+            source=_copy(records), scenario=SCENARIO, cache_dir=cache_dir
+        )
+
+    def test_plain_pickled_list_is_still_a_hit(self, tmp_path):
+        records = _seed_records()
+        cold = self._pipeline(records, tmp_path)
+        expected = _artifact_bytes(cold, "preprocess")
+        store = ArtifactStore(tmp_path)
+        (path,) = [
+            path
+            for path in store._object_files()
+            if store._stage_of(path) == "preprocess"
+        ]
+        status, (packed, report) = store.load(path.name)
+        assert status == "hit"
+        assert type(packed) is RecordList
+        assert b"_unpack_records" in path.read_bytes()
+
+        store.store(path.name, (list(packed), report), stage="preprocess")
+        assert b"_unpack_records" not in path.read_bytes()
+        warm = self._pipeline(records, tmp_path)
+        assert _artifact_bytes(warm, "preprocess") == expected
+        assert warm.get("preprocess")[0] == packed
+        assert warm.context.stats.stage_events["preprocess"] == "hit"
+        assert warm.context.stats.corrupt == 0
 
 
 # -- integration touchpoints ---------------------------------------------

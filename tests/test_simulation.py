@@ -1,8 +1,13 @@
 """Unit tests for the simulation layer: clock, iphash, scenario, noise,
 engine determinism."""
 
+import math
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import ScenarioError
 from repro.robots.corpus import RobotsVersion
@@ -28,9 +33,30 @@ from repro.web.generator import build_university_sites
 from repro.web.server import WebServer
 
 
+def unmemoized_iso_day(epoch_seconds: float) -> str:
+    stamp = datetime.fromtimestamp(epoch_seconds, tz=timezone.utc)
+    return stamp.strftime("%Y-%m-%d")
+
+
 class TestClock:
     def test_epoch_round_trip(self):
         assert iso_day(epoch("2025-02-12")) == "2025-02-12"
+
+    @given(st.floats(min_value=-6e10, max_value=2.5e11))
+    def test_iso_day_matches_unmemoized(self, epoch_seconds):
+        assert iso_day(epoch_seconds) == unmemoized_iso_day(epoch_seconds)
+
+    def test_iso_day_just_below_midnight(self):
+        # fromtimestamp rounds to the microsecond, so the largest float
+        # below a midnight already renders as the next day; a memo keyed
+        # on ``epoch // 86400`` would answer the day before.
+        assert iso_day(math.nextafter(1_728_000_000.0, 0)) == "2024-10-04"
+        scenario = default_scenario()
+        first = min(start for start, _ in scenario.simulated_windows)
+        last = max(end for _, end in scenario.simulated_windows)
+        for day in range(int(first // 86_400), int(last // 86_400) + 2):
+            below = math.nextafter(86_400.0 * day, 0)
+            assert iso_day(below) == unmemoized_iso_day(below)
 
     def test_epoch_with_time(self):
         assert epoch("2025-02-12T12:00:00") - epoch("2025-02-12") == 43_200.0
