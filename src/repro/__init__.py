@@ -24,20 +24,34 @@ Quickstart::
     dataset = run_study(scale=0.02)
     analysis = StudyAnalysis(dataset)
     print(run_experiment("T5", analysis).rendered)
+
+The top-level names resolve on first access (PEP 562): ``import
+repro`` loads none of the layers above, and ``repro.run_study`` is
+what imports the simulator (and numpy with it).
 """
 
-from .analysis import Directive
-from .logs import LogRecord, sessionize
-from .observatory import RobotsObservatory
-from .reporting import (
-    StudyAnalysis,
-    analyze,
-    render_scorecard,
-    run_all,
-    run_experiment,
-)
-from .robots import RobotsPolicy, RobotsVersion, diff_robots, parse
-from .simulation import StudyDataset, default_scenario, run_study
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    "Directive": ".analysis.compliance",
+    "LogRecord": ".logs.schema",
+    "RobotsObservatory": ".observatory",
+    "RobotsPolicy": ".robots.policy",
+    "RobotsVersion": ".robots.corpus",
+    "StudyAnalysis": ".reporting.study",
+    "StudyDataset": ".simulation.engine",
+    "analyze": ".reporting.study",
+    "default_scenario": ".simulation.scenario",
+    "diff_robots": ".robots.diff",
+    "parse": ".robots.parser",
+    "render_scorecard": ".reporting.scorecard",
+    "run_all": ".reporting.experiments",
+    "run_experiment": ".reporting.experiments",
+    "run_study": ".simulation.engine",
+    "sessionize": ".logs.sessionize",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

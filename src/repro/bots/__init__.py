@@ -1,26 +1,27 @@
 """Bot population: behaviour model, calibrated profiles, agents."""
 
-from .agent import BotAgent, agent_seed
-from .behavior import (
-    AdversarialTraits,
-    BotProfile,
-    CheckPolicy,
-    ComplianceProfile,
-    NEVER_CHECKS,
-)
-from .profiles import (
-    ROTATION_UA_POOL,
-    adversarial_profiles,
-    build_profiles,
-    paper_profiles,
-    profile_by_name,
-)
-from .spoofer import (
-    SPOOF_COMPLIANCE_OVERRIDES,
-    SPOOF_DEFAULT_COMPLIANCE,
-    build_spoof_agents,
-    spoof_compliance_for,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "BotAgent": ".agent",
+    "agent_seed": ".agent",
+    "AdversarialTraits": ".behavior",
+    "BotProfile": ".behavior",
+    "CheckPolicy": ".behavior",
+    "ComplianceProfile": ".behavior",
+    "NEVER_CHECKS": ".behavior",
+    "ROTATION_UA_POOL": ".profiles",
+    "adversarial_profiles": ".profiles",
+    "build_profiles": ".profiles",
+    "paper_profiles": ".profiles",
+    "profile_by_name": ".profiles",
+    "SPOOF_COMPLIANCE_OVERRIDES": ".spoofer",
+    "SPOOF_DEFAULT_COMPLIANCE": ".spoofer",
+    "build_spoof_agents": ".spoofer",
+    "spoof_compliance_for": ".spoofer",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AdversarialTraits",

@@ -17,6 +17,12 @@ Subcommands:
 ``robots``
     Inspect a robots.txt file: validate it and answer can-fetch
     queries.
+``diff``
+    Semantic diff between two robots.txt files: which agent x path
+    verdicts changed.
+``scorecard``
+    Simulate a study and print one bot's per-directive compliance
+    scorecard.
 ``versions``
     Print the paper's four experimental robots.txt files.
 ``cache``
@@ -35,6 +41,13 @@ Subcommands:
     ``analyze --executor queue --spool DIR``, run them under a
     heartbeat-renewed lease, and publish results atomically.  Start
     any number, on any host that can reach the spool directory.
+``lint``
+    Run the repository's AST invariant checker
+    (:mod:`repro.devtools.lint`).
+``scenarios``
+    Run the adversarial scenario matrix (deterrence x bot fleet) as
+    cached cells: ``run`` prints per-cell results, ``report`` renders
+    the deterrence scorecard and detector ROC tables.
 
 Incremental analysis: ``analyze``/``report`` accept ``--cache-dir`` to
 persist stage artifacts between runs.  Cached artifacts are keyed by a
@@ -44,6 +57,10 @@ the transitive fingerprints of its dependencies; re-running over an
 unchanged log loads every artifact from disk, and appending records
 reruns only the affected shard plus downstream stages.  ``--no-cache``
 skips cache reads but still publishes fresh artifacts (a refresh).
+
+Only ``simulate``, ``report``, ``scorecard`` and a ``scenarios`` run
+that computes a cell import the simulator (and numpy); every other
+command, warm or cold, runs without them.
 """
 
 from __future__ import annotations
@@ -66,7 +83,6 @@ from .reporting.study import StudyAnalysis
 from .robots.corpus import all_versions, render_version
 from .robots.policy import RobotsPolicy
 from .robots.validator import validate
-from .simulation.engine import run_study
 from .simulation.scenario import default_scenario
 
 
@@ -464,6 +480,8 @@ def _add_cache_options(subparser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulation.engine import run_study
+
     dataset = run_study(
         scale=args.scale,
         seed=args.seed,
@@ -532,6 +550,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .simulation.engine import run_study
+
     dataset = run_study(scale=args.scale, seed=args.seed)
     print(
         f"simulated {len(dataset.records):,} records at scale {args.scale}",
@@ -630,6 +650,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
     from .reporting.scorecard import render_scorecard
+    from .simulation.engine import run_study
 
     dataset = run_study(scale=args.scale, seed=args.seed)
     analysis = StudyAnalysis(dataset)

@@ -42,6 +42,8 @@ Facade attribute -> pipeline artifact:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..analysis.aggregate import CategoryComplianceTable
 from ..analysis.compliance import Directive
 from ..analysis.overview import OverviewTables, PhaseTally
@@ -52,7 +54,9 @@ from ..logs.schema import LogRecord
 from ..pipeline import PipelineConfig, build_study_pipeline
 from ..pipeline.stages import VERSION_DIRECTIVES, SiteTraffic, phase_entry
 from ..robots.corpus import RobotsVersion
-from ..simulation.engine import StudyDataset
+
+if TYPE_CHECKING:
+    from ..simulation.engine import StudyDataset
 
 __all__ = ["StudyAnalysis", "VERSION_DIRECTIVES", "analyze"]
 

@@ -7,29 +7,39 @@ as a content-keyed sharded pipeline stage, and reduces the results
 into a deterrence scorecard and detector ROC tables.
 """
 
-from .matrix import MatrixRun, build_matrix_pipeline, run_matrix
-from .report import DETECTORS, build_roc_tables, build_scorecard, roc_curve
-from .results import (
-    CellMetrics,
-    CellResult,
-    RocPoint,
-    RocTable,
-    ScorecardRow,
-)
-from .simulate import build_cell_gateway, cell_seed, run_cell, strategy_profile
-from .spec import (
-    DETERRENCE_PRESET_NAMES,
-    ROBOTS_CHOICES,
-    STRATEGIES,
-    TRAFFIC_MIXES,
-    DeterrenceConfig,
-    ScenarioGrid,
-    ScenarioSpec,
-    deterrence_preset,
-    full_grid,
-    parse_grid,
-    quick_grid,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "MatrixRun": ".matrix",
+    "build_matrix_pipeline": ".matrix",
+    "run_matrix": ".matrix",
+    "DETECTORS": ".report",
+    "build_roc_tables": ".report",
+    "build_scorecard": ".report",
+    "roc_curve": ".report",
+    "CellMetrics": ".results",
+    "CellResult": ".results",
+    "RocPoint": ".results",
+    "RocTable": ".results",
+    "ScorecardRow": ".results",
+    "build_cell_gateway": ".simulate",
+    "cell_seed": ".simulate",
+    "run_cell": ".simulate",
+    "strategy_profile": ".simulate",
+    "DETERRENCE_PRESET_NAMES": ".spec",
+    "ROBOTS_CHOICES": ".spec",
+    "STRATEGIES": ".spec",
+    "TRAFFIC_MIXES": ".spec",
+    "DeterrenceConfig": ".spec",
+    "ScenarioGrid": ".spec",
+    "ScenarioSpec": ".spec",
+    "deterrence_preset": ".spec",
+    "full_grid": ".spec",
+    "parse_grid": ".spec",
+    "quick_grid": ".spec",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CellMetrics",

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import ModuleType
 
 from ..pipeline.context import PipelineConfig, PipelineContext
 from ..pipeline.runner import Pipeline
@@ -42,7 +43,6 @@ from ..pipeline.stage import FunctionStage, ShardStage
 from ..pipeline.store import ArtifactStore, CacheStats
 from .report import build_roc_tables, build_scorecard
 from .results import CellResult, RocTable, ScorecardRow
-from .simulate import run_cell
 from .spec import ScenarioGrid, ScenarioSpec
 
 #: Bump when cell semantics change (invalidates every cached cell).
@@ -64,13 +64,28 @@ def _partition_stage(
     ]
 
 
+@functools.cache
+def _cell_simulator() -> ModuleType:
+    """:mod:`.simulate`, imported by the first cell this process computes.
+
+    A warm run loads every cell from cache, so it never pays for the
+    simulator (or numpy); the cache keeps the import off the per-cell
+    path.  It holds the module, not ``run_cell``, so a later rebinding
+    of ``simulate.run_cell`` still takes effect.
+    """
+    from . import simulate
+
+    return simulate
+
+
 def _cell_worker(specs: list[ScenarioSpec]) -> list[CellResult]:
     """Shard worker: run the (single) cell a shard carries.
 
     Module-level so the process pool and the queue executor can
     pickle it by reference.
     """
-    return [run_cell(spec) for spec in specs]
+    simulate = _cell_simulator()
+    return [simulate.run_cell(spec) for spec in specs]
 
 
 def _merge_cells(

@@ -1,18 +1,29 @@
 """Simulation: clock, anonymization, scenario, noise, engine."""
 
-from .clock import (
-    SECONDS_PER_DAY,
-    add_days,
-    day_range,
-    days_between,
-    epoch,
-    iso_day,
-)
-from .engine import SimulationEngine, StudyDataset, run_study
-from .hooks import ObservedGateway, RequestObservation
-from .iphash import IpAnonymizer, generate_ip_pool
-from .noise import NoiseModel
-from .scenario import Phase, StudyScenario, default_scenario, quick_scenario
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "SECONDS_PER_DAY": ".clock",
+    "add_days": ".clock",
+    "day_range": ".clock",
+    "days_between": ".clock",
+    "epoch": ".clock",
+    "iso_day": ".clock",
+    "SimulationEngine": ".engine",
+    "StudyDataset": ".engine",
+    "run_study": ".engine",
+    "ObservedGateway": ".hooks",
+    "RequestObservation": ".hooks",
+    "IpAnonymizer": ".iphash",
+    "generate_ip_pool": ".iphash",
+    "NoiseModel": ".noise",
+    "Phase": ".scenario",
+    "StudyScenario": ".scenario",
+    "default_scenario": ".scenario",
+    "quick_scenario": ".scenario",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "IpAnonymizer",

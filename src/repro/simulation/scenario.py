@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..exceptions import ScenarioError
 from ..robots.corpus import RobotsVersion, render_version
-from ..web.generator import EXPERIMENT_SITE, PASSIVE_ROBOTS_SITES
+from ..web.site import EXPERIMENT_SITE, PASSIVE_ROBOTS_SITES
 from .clock import epoch
 
 

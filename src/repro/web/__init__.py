@@ -1,16 +1,27 @@
 """In-memory web substrate: messages, sites, server, site generator."""
 
-from .generator import (
-    EXPERIMENT_SITE,
-    PASSIVE_ROBOTS_SITES,
-    SITE_THEMES,
-    build_site,
-    build_university_sites,
-    site_hostnames,
-)
-from .message import REASON_PHRASES, Request, Response, make_body_response
-from .server import AccessHook, WebServer
-from .site import ROBOTS_PATH, SITEMAP_PATH, Page, Website
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "SITE_THEMES": ".generator",
+    "build_site": ".generator",
+    "build_university_sites": ".generator",
+    "site_hostnames": ".generator",
+    "REASON_PHRASES": ".message",
+    "Request": ".message",
+    "Response": ".message",
+    "make_body_response": ".message",
+    "AccessHook": ".server",
+    "WebServer": ".server",
+    "ROBOTS_PATH": ".site",
+    "SITEMAP_PATH": ".site",
+    "Page": ".site",
+    "Website": ".site",
+    "EXPERIMENT_SITE": ".site",
+    "PASSIVE_ROBOTS_SITES": ".site",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AccessHook",

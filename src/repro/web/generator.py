@@ -12,19 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .site import Page, Website
-
-#: Hostname of the high-bot-traffic site carrying the controlled
-#: robots.txt experiment (the paper's personnel directory analog).
-EXPERIMENT_SITE = "directory.university.edu"
-
-#: The three passive-observation sites whose fixed robots.txt files
-#: feed the §5.1 check-frequency analysis.
-PASSIVE_ROBOTS_SITES = (
-    "library.university.edu",
-    "registrar.university.edu",
-    "oit.university.edu",
-)
+from .site import EXPERIMENT_SITE, Page, Website
+from .site import PASSIVE_ROBOTS_SITES as PASSIVE_ROBOTS_SITES
 
 #: The full estate: 36 subdomain themes.
 SITE_THEMES: tuple[str, ...] = (

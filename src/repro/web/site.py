@@ -16,6 +16,18 @@ from ..robots.corpus import build_base
 ROBOTS_PATH = "/robots.txt"
 SITEMAP_PATH = "/sitemap/sitemap-0.xml"
 
+#: Hostname of the high-bot-traffic site carrying the controlled
+#: robots.txt experiment (the paper's personnel directory analog).
+EXPERIMENT_SITE = "directory.university.edu"
+
+#: The three passive-observation sites whose fixed robots.txt files
+#: feed the §5.1 check-frequency analysis.
+PASSIVE_ROBOTS_SITES = (
+    "library.university.edu",
+    "registrar.university.edu",
+    "oit.university.edu",
+)
+
 
 @dataclass(frozen=True)
 class Page:

@@ -1,5 +1,10 @@
 """Tests for the package's public API surface."""
 
+import importlib
+import inspect
+
+import pytest
+
 import repro
 
 
@@ -47,3 +52,47 @@ class TestTopLevelApi:
         import repro.web
 
         assert repro.analysis.Directive is repro.Directive
+
+
+LAZY_PACKAGES = [
+    "repro",
+    "repro.simulation",
+    "repro.web",
+    "repro.bots",
+    "repro.scenarios",
+]
+
+
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+class TestLazyExports:
+    """The PEP 562 exports behave like the eager imports they replace."""
+
+    def test_names_are_the_defining_submodules_objects(self, package_name):
+        package = importlib.import_module(package_name)
+        for name in package.__all__:
+            if name == "__version__":
+                continue
+            module = importlib.import_module(package._EXPORTS[name], package_name)
+            # Through the lazy hook even when an earlier access cached it.
+            assert package.__getattr__(name) is getattr(module, name), name
+            assert getattr(package, name) is getattr(module, name), name
+            value = getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, name
+
+    def test_star_import_binds_every_name(self, package_name):
+        namespace: dict = {}
+        exec(f"from {package_name} import *", namespace)
+        package = importlib.import_module(package_name)
+        for name in package.__all__:
+            assert namespace[name] is getattr(package, name), name
+
+    def test_dir_lists_all(self, package_name):
+        package = importlib.import_module(package_name)
+        assert set(package.__all__) <= set(dir(package))
+
+    def test_unknown_name_is_an_attribute_error(self, package_name):
+        package = importlib.import_module(package_name)
+        with pytest.raises(AttributeError, match="no_such_export"):
+            package.no_such_export
+        assert not hasattr(package, "no_such_export")
