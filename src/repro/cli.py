@@ -37,8 +37,8 @@ Subcommands:
     ORIGIN=FILE`` bindings, or a ``--robots-dir`` of ``<origin>.txt``
     files.
 ``worker``
-    Serve a distributed-analysis spool: claim shard tasks enqueued by
-    ``analyze --executor queue --spool DIR``, run them under a
+    Serve a spool: claim the scenario-cell tasks enqueued by
+    ``scenarios run --executor queue --spool DIR``, run them under a
     heartbeat-renewed lease, and publish results atomically.  Start
     any number, on any host that can reach the spool directory.
 ``lint``
@@ -137,38 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--executor",
-        choices=EXECUTOR_CHOICES,
+        choices=("process", "inline"),
         default="process",
-        help=(
-            "shard backend; 'queue' dispatches shards through a "
-            "filesystem spool served by worker processes (requires "
-            "--spool, see also the 'worker' subcommand)"
-        ),
-    )
-    analyze.add_argument(
-        "--spool",
-        type=Path,
-        default=None,
-        help="spool directory for --executor queue (shared with workers)",
-    )
-    analyze.add_argument(
-        "--workers",
-        type=_at_least(0),
-        default=None,
-        help=(
-            "local worker processes the queue executor spawns "
-            "(default: --jobs; 0 relies on externally started workers)"
-        ),
-    )
-    analyze.add_argument(
-        "--remote-store",
-        type=Path,
-        default=None,
-        help=(
-            "remote artifact-store directory (e.g. on a shared "
-            "filesystem) backing --cache-dir, so several hosts share "
-            "one artifact cache"
-        ),
+        help="shard backend for --jobs > 1",
     )
     _add_experiments_option(analyze)
     _add_cache_options(analyze)
@@ -176,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     report = commands.add_parser("report", help="simulate + analyze + print")
     report.add_argument("--scale", type=float, default=0.05)
     report.add_argument("--seed", type=int, default=2025)
-    report.add_argument("--jobs", type=_at_least(1), default=1)
     _add_experiments_option(report)
     _add_cache_options(report)
 
@@ -298,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = commands.add_parser(
         "worker",
-        help="serve a distributed-analysis spool as a worker process",
+        help="serve a queue-executor spool as a worker process",
     )
     worker.add_argument(
         "--spool",
         type=Path,
         required=True,
-        help="spool directory (as passed to analyze --executor queue)",
+        help="spool directory (as passed to scenarios run --executor queue)",
     )
     worker.add_argument(
         "--ttl",
@@ -519,23 +489,11 @@ def _print_cache_stats(analysis: StudyAnalysis, args: argparse.Namespace) -> Non
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.executor == "queue" and args.spool is None:
-        raise ConfigError("--executor queue requires --spool DIR")
-    if args.remote_store is not None and args.cache_dir is None:
-        raise ConfigError("--remote-store requires --cache-dir")
-    remote_store = None
-    if args.remote_store is not None:
-        from .distributed import DirectoryRemoteStore
-
-        remote_store = DirectoryRemoteStore(args.remote_store)
     analysis = StudyAnalysis.from_source(
         _record_reader(args),
         scenario=default_scenario(seed=args.seed),
         jobs=args.jobs,
         executor=args.executor,
-        spool=None if args.spool is None else str(args.spool),
-        workers=args.workers,
-        remote_store=remote_store,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
     )
@@ -559,7 +517,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     analysis = StudyAnalysis(
         dataset,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
     )
@@ -783,6 +740,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     from .reporting.scorecard import render_deterrence_scorecard, render_roc_table
     from .scenarios import parse_grid, run_matrix
 
+    if args.executor == "queue" and args.spool is None:
+        raise ConfigError("--executor queue requires --spool DIR")
     grid = parse_grid(args.grid, days=args.days, seed=args.seed)
     for knob in args.knobs:
         grid = grid.with_knob(knob)

@@ -1,23 +1,21 @@
 """Queue-backed distributed shard execution.
 
-The production-scale substrate for the study pipeline: shard tasks go
-through a filesystem spool (:mod:`.queue`), are executed by stateless
-worker processes on one or many hosts (:mod:`.worker`) under
-TTL-leased claims (:mod:`.lease`), and are collected — with crash
-recovery and checkpoint/resume — by the coordinator
-(:mod:`.coordinator`).  :mod:`.remote` adds the pluggable remote
-backend for the artifact cache so those hosts can share computed
-artifacts too.
+Shard tasks go through a filesystem spool (:mod:`.queue`), are
+executed by stateless worker processes on one or many hosts
+(:mod:`.worker`) under TTL-leased claims (:mod:`.lease`), and are
+collected — with crash recovery and checkpoint/resume — by the
+coordinator (:mod:`.coordinator`).
 
 Entry points:
 
-- ``build_study_pipeline(..., config=PipelineConfig(executor="queue",
-  spool=DIR))`` routes every :class:`~repro.pipeline.stage.ShardStage`
-  map through :func:`run_sharded_queue`;
-- ``repro-study analyze --executor queue --spool DIR --workers N`` is
-  the CLI spelling;
+- ``repro-study scenarios run --executor queue --spool DIR --workers
+  N`` runs the scenario grid's cells through the spool;
 - ``repro-study worker --spool DIR`` serves a spool from any host that
-  can reach it.
+  can reach it;
+- ``PipelineConfig(executor="queue", spool=DIR)`` routes any
+  :class:`~repro.pipeline.stage.ShardStage` map through
+  :func:`run_sharded_queue` (the study pipeline's queue parity and
+  fault tests use this).
 """
 
 from .coordinator import (
@@ -27,12 +25,10 @@ from .coordinator import (
 )
 from .lease import DEFAULT_LEASE_TTL, Heartbeat, Lease
 from .queue import FilesystemSpool, SpoolBackend, SpoolTask, task_id_for
-from .remote import DirectoryRemoteStore
 from .worker import default_worker_id, process_one, run_worker
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "DirectoryRemoteStore",
     "FilesystemSpool",
     "Heartbeat",
     "Lease",

@@ -6,7 +6,8 @@ Three small objects shared by every stage of a pipeline run:
     How to execute — worker count (``jobs``; shards always hash
     ``sitename``) and the shard executor backend (``process`` for true
     parallelism, ``inline`` for deterministic in-process runs, ``queue``
-    for a filesystem spool served by worker processes).
+    for a filesystem spool served by worker processes, which the CLI
+    offers on ``scenarios run`` only).
 
 :class:`RecordSource`
     A row source parsed at most once per run: one zero-argument
@@ -73,7 +74,8 @@ class PipelineConfig:
             vulnerability-scanner IP hashes, the paper's §3.1 step).
         spool: spool directory for the ``queue`` executor — the work
             queue, leases, payloads and results shared with the worker
-            fleet (``repro-study worker --spool DIR``).  Like ``jobs``
+            fleet (``repro-study worker --spool DIR``, serving
+            ``scenarios run --executor queue``).  Like ``jobs``
             and ``executor``, it is execution plumbing: artifact cache
             keys never include it.
         workers: local worker processes the ``queue`` executor spawns

@@ -238,11 +238,7 @@ class Pipeline:
         last = store.last_key(item.name)
         context.stats.record_miss(
             item.name,
-            # A remote-backend read failure ("error") degrades to a
-            # recompute and counts as an invalidation: the artifact's
-            # key is still valid, the transport just failed us.
-            invalidated=(last is not None and last != key)
-            or status == "error",
+            invalidated=last is not None and last != key,
             corrupt=status == "corrupt",
         )
         if isinstance(item, ShardStage):
@@ -298,7 +294,7 @@ class Pipeline:
                 if status == "corrupt":
                     stats.corrupt += 1
                 last = store.last_key(f"{item.name}[{index}]")
-                if (last is not None and last != key) or status == "error":
+                if last is not None and last != key:
                     stats.invalidations += 1
                 miss_indices.append(index)
         if miss_indices:

@@ -59,7 +59,6 @@ from ..analysis.overview import (
 )
 from ..analysis.perbot import per_bot_results, spoofed_bot_results
 from ..analysis.spoofing import find_spoofed_bots, partition_records as spoof_partition
-from ..exceptions import PipelineError
 from ..logs.preprocess import (
     Preprocessor,
     merge_preprocess_shards,
@@ -288,7 +287,6 @@ def build_study_pipeline(
     preprocessor: Preprocessor | None = None,
     cache_dir: object = None,
     no_cache: bool = False,
-    remote_store=None,
 ) -> Pipeline:
     """Assemble the full study-analysis pipeline.
 
@@ -298,9 +296,11 @@ def build_study_pipeline(
         scenario: the :class:`~repro.simulation.scenario.StudyScenario`
             describing phases and sites.
         config: execution knobs; ``jobs > 1`` selects the sharded
-            preprocess path (default preprocessor only), and
-            ``executor="queue"`` + ``spool`` routes shard maps through
-            the distributed work queue (:mod:`repro.distributed`).
+            preprocess path (default preprocessor only).  The CLI's
+            ``analyze`` offers the ``process`` and ``inline``
+            executors; ``executor="queue"`` + ``spool`` still routes
+            the shard map through :mod:`repro.distributed`, which the
+            queue parity and fault tests rely on.
         preprocessor: custom preprocessing pipeline.  Custom instances
             always run in-process (they may hold unpicklable state), so
             they force the sequential preprocess stage — and disable
@@ -311,25 +311,11 @@ def build_study_pipeline(
             (default) disables cross-run caching entirely.
         no_cache: with ``cache_dir`` set, bypass cache *reads* while
             still publishing fresh artifacts (a refresh mode).
-        remote_store: optional
-            :class:`~repro.pipeline.store.StoreBackend` holding the
-            artifact blobs remotely (e.g.
-            :class:`~repro.distributed.DirectoryRemoteStore` on a
-            shared filesystem) so several hosts share one cache;
-            requires ``cache_dir``, which still hosts the local
-            latest-pointer bookkeeping.
     """
     config = config or PipelineConfig()
     store = None
-    if remote_store is not None and cache_dir is None:
-        raise PipelineError(
-            "remote_store requires cache_dir (it hosts the store's "
-            "local latest-pointers)"
-        )
     if cache_dir is not None and preprocessor is None:
-        store = ArtifactStore(
-            cache_dir, read=not no_cache, backend=remote_store
-        )
+        store = ArtifactStore(cache_dir, read=not no_cache)
     context = PipelineContext(
         config=config,
         source=RecordSource.of(source),

@@ -47,7 +47,6 @@ import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 from ..exceptions import ArtifactCorruptionError, PipelineError
 from ..logs.columnar import RecordBatch, iter_batches
@@ -279,32 +278,6 @@ class CacheStats:
 # -- the store -----------------------------------------------------------
 
 
-@runtime_checkable
-class StoreBackend(Protocol):
-    """Object-storage seam behind :class:`ArtifactStore`.
-
-    A backend maps content keys to opaque blobs (the checksummed
-    artifact files the store would otherwise write under ``objects/``).
-    The default (``backend=None``) is the store's own local layout; a
-    remote backend — e.g.
-    :class:`repro.distributed.remote.DirectoryRemoteStore`, the
-    shared-directory reference implementation — lets coordinators and
-    workers on different hosts share one artifact namespace.  Keys are
-    parallelism-independent by design, so any two processes deriving
-    the same key may publish interchangeably.
-
-    ``get`` returns ``None`` for a missing key and may raise on
-    transport failure; the store degrades either to a recompute (the
-    same fallback path that handles corrupt local files).
-    """
-
-    def get(self, key: str) -> bytes | None: ...
-
-    def put(self, key: str, blob: bytes) -> None: ...
-
-    def exists(self, key: str) -> bool: ...
-
-
 @dataclass(frozen=True)
 class StoreInfo:
     """Summary returned by :meth:`ArtifactStore.info`.
@@ -349,30 +322,18 @@ class ArtifactStore:
     bytes for identical keys, so the race is benign.
 
     Args:
-        root: cache directory (created on demand).  With a remote
-            ``backend`` this still hosts the ``latest/`` pointers and
-            maintenance metadata — only object blobs move remote.
+        root: cache directory (created on demand).
         read: when ``False`` (the CLI's ``--no-cache``), lookups always
             miss but publishes still happen — a refresh mode that
             rebuilds the cache without trusting its current contents.
-        backend: optional :class:`StoreBackend` that replaces the local
-            ``objects/`` layout as the blob transport (remote artifact
-            sharing across hosts).  A ``get`` that *raises* — network
-            partition, shared mount gone — degrades to a recompute:
-            :meth:`load` reports status ``"error"``, which the runner
-            tallies in ``cache_stats.invalidations`` rather than
-            failing the run.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        read: bool = True,
-        backend: StoreBackend | None = None,
-    ) -> None:
+    #: Always ``None``; kept because ``perfbench/layers.py`` reads it.
+    backend = None
+
+    def __init__(self, root: str | Path, read: bool = True) -> None:
         self.root = Path(root)
         self.read = read
-        self.backend = backend
         self._objects = self.root / "objects"
         self._latest = self.root / "latest"
         # Directories are created lazily by the write paths, so
@@ -388,16 +349,12 @@ class ArtifactStore:
         """Look up one artifact.
 
         Returns ``(status, value)`` where status is ``"hit"``,
-        ``"miss"``, ``"corrupt"`` (checksum or unpickle failure — the
+        ``"miss"`` or ``"corrupt"`` (checksum or unpickle failure — the
         offending file is discarded so the subsequent publish replaces
-        it), or ``"error"`` (the remote backend's ``get`` raised; the
-        artifact may exist but is unreachable, so the caller recomputes
-        and the run is counted as invalidated, not corrupt).
+        it).
         """
         if not self.read:
             return "miss", None
-        if self.backend is not None:
-            return self._load_remote(key)
         path = self._object_path(key)
         try:
             blob = path.read_bytes()
@@ -419,24 +376,6 @@ class ArtifactStore:
             os.utime(path)
         except OSError:
             pass
-        return "hit", value
-
-    def _load_remote(self, key: str) -> tuple[str, object]:
-        """Backend lookup with the degrade-to-recompute fallback."""
-        assert self.backend is not None
-        try:
-            blob = self.backend.get(key)
-        except Exception:
-            # Transport failure (unreachable mount, network partition):
-            # the same self-healing posture as a corrupt local file —
-            # recompute and republish — but reported distinctly so the
-            # stats attribute it to invalidation, not corruption.
-            return "error", None
-        if blob is None:
-            return "miss", None
-        value = self._decode(blob)
-        if value is _CORRUPT:
-            return "corrupt", None
         return "hit", value
 
     def _decode(self, blob: bytes) -> object:
@@ -463,9 +402,6 @@ class ArtifactStore:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
         header = _MAGIC + stage.encode("utf-8") + b"\n" + digest + b"\n"
-        if self.backend is not None:
-            self.backend.put(key, header + payload)
-            return
         self._atomic_write(self._object_path(key), header + payload)
 
     _atomic_write = staticmethod(atomic_write_bytes)

@@ -73,14 +73,8 @@ class StudyAnalysis:
         jobs: shard/worker count for preprocessing; ``1`` (default)
             runs fully sequentially.  Sharded (``jobs > 1``) and
             sequential runs produce byte-identical artifacts.
-        executor: shard backend (``process``/``inline``/``queue``;
-            ``queue`` requires ``spool``).
-        spool: spool directory for the ``queue`` executor — shared
-            with any ``repro-study worker`` processes serving it.
-        workers: local worker processes the ``queue`` executor spawns
-            (``None`` mirrors ``jobs``, ``0`` relies on external
-            workers).
-        remote_store: optional remote artifact-store backend (see
+        executor: shard backend, ``process`` or ``inline`` (the
+            queue route is reachable only through
             :func:`repro.pipeline.stages.build_study_pipeline`).
         cache_dir: directory for the persistent artifact store; when
             set, stage artifacts are served from (and published to)
@@ -99,9 +93,6 @@ class StudyAnalysis:
         preprocessor: Preprocessor | None = None,
         jobs: int = 1,
         executor: str = "process",
-        spool: str | None = None,
-        workers: int | None = None,
-        remote_store=None,
         cache_dir: object = None,
         no_cache: bool = False,
         *,
@@ -113,16 +104,10 @@ class StudyAnalysis:
         self.pipeline = build_study_pipeline(
             source=dataset.source() if source is None else source,
             scenario=self.scenario,
-            config=PipelineConfig(
-                jobs=jobs,
-                executor=executor,
-                spool=spool,
-                workers=workers,
-            ),
+            config=PipelineConfig(jobs=jobs, executor=executor),
             preprocessor=preprocessor,
             cache_dir=cache_dir,
             no_cache=no_cache,
-            remote_store=remote_store,
         )
 
     @classmethod

@@ -122,10 +122,10 @@ class TestCountAndChoiceValidation:
         "argv, message",
         [
             (["analyze", "LOG", "--jobs", "0"], "--jobs: must be >= 1, got 0"),
-            (["report", "--jobs", "0"], "--jobs: must be >= 1, got 0"),
+            (["scenarios", "run", "--jobs", "0"], "--jobs: must be >= 1, got 0"),
             (["scenarios", "run", "--jobs", "-3"], "--jobs: must be >= 1, got -3"),
             (
-                ["analyze", "LOG", "--executor", "queue", "--spool", "D"]
+                ["scenarios", "run", "--executor", "queue", "--spool", "D"]
                 + ["--workers", "-1"],
                 "--workers: must be >= 0, got -1",
             ),
@@ -140,6 +140,18 @@ class TestCountAndChoiceValidation:
                 "unrecognized arguments: --shard-by site",
             ),
             (["report", "--shard-by", "ip"], "unrecognized arguments: --shard-by ip"),
+            # analyze runs on one host: no remote store, spool or queue.
+            (
+                ["analyze", "LOG", "--remote-store", "D"],
+                "unrecognized arguments: --remote-store D",
+            ),
+            (["analyze", "LOG", "--spool", "D"], "unrecognized arguments: --spool D"),
+            (
+                ["analyze", "LOG", "--workers", "0"],
+                "unrecognized arguments: --workers 0",
+            ),
+            (["analyze", "LOG", "--executor", "queue"], "invalid choice: 'queue'"),
+            (["report", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
         ],
     )
     def test_bad_count_exits_2_with_usage(self, tmp_path, capsys, argv, message):
@@ -157,9 +169,15 @@ class TestCountAndChoiceValidation:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["analyze", "log.jsonl", "--jobs", "2", "--workers", "0"]
+            ["scenarios", "run", "--jobs", "2", "--workers", "0"]
         )
         assert (args.jobs, args.workers) == (2, 0)
+
+    def test_queue_without_spool_is_a_usage_error(self, capsys):
+        argv = ["scenarios", "run", "--grid", "quick", "--executor", "queue"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --executor queue requires --spool DIR\n"
 
     def test_choices_come_from_the_pipeline_config(self):
         from repro.cli import build_parser
@@ -174,7 +192,7 @@ class TestCountAndChoiceValidation:
             if action.dest == "executor"
         }
         assert options == {
-            ("analyze", "executor"): EXECUTOR_CHOICES,
+            ("analyze", "executor"): ("process", "inline"),
             ("scenarios", "executor"): EXECUTOR_CHOICES,
         }
 

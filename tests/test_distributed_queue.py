@@ -3,9 +3,7 @@
 Covers the spool's atomic state machine (enqueue / claim-by-rename /
 ack / requeue, checksummed blobs), lease acquire/renew/expire and the
 heartbeat's lost-lease signal, the worker loop's outcome publishing,
-the coordinator's dedup + resume + timeout behavior, and the remote
-:class:`~repro.pipeline.store.StoreBackend` seam on the artifact store
-(including the degrade-to-recompute accounting for backend failures).
+and the coordinator's dedup + resume + timeout behavior.
 
 Fault injection — SIGKILLed workers, restarted coordinators — lives in
 ``tests/test_distributed_fault.py``; whole-pipeline parity in
@@ -20,7 +18,6 @@ import time
 import pytest
 
 from repro.distributed import (
-    DirectoryRemoteStore,
     FilesystemSpool,
     Heartbeat,
     Lease,
@@ -33,7 +30,6 @@ from repro.distributed.queue import pack_blob, unpack_blob
 from repro.distributed.worker import decode_outcome, process_one
 from repro.exceptions import DistributedError, LeaseError, PipelineError
 from repro.pipeline.context import PipelineConfig
-from repro.pipeline.store import ArtifactStore, StoreBackend
 
 
 def doubler(xs):
@@ -383,81 +379,3 @@ class TestQueueConfig:
     def test_negative_workers_rejected(self):
         with pytest.raises(PipelineError, match="workers must be >= 0"):
             PipelineConfig(workers=-1)
-
-
-# -- remote artifact-store backend ---------------------------------------
-
-
-class _FailingBackend:
-    """A remote store whose reads always fail (network down)."""
-
-    def get(self, key: str) -> bytes | None:
-        raise OSError("transport down")
-
-    def put(self, key: str, blob: bytes) -> None:
-        raise OSError("transport down")
-
-    def exists(self, key: str) -> bool:
-        return False
-
-
-class TestRemoteStoreBackend:
-    def test_directory_backend_round_trip(self, tmp_path):
-        backend = DirectoryRemoteStore(tmp_path / "remote")
-        assert isinstance(backend, StoreBackend)
-        assert backend.get("k") is None
-        assert not backend.exists("k")
-        backend.put("k", b"blob")
-        assert backend.exists("k")
-        assert backend.get("k") == b"blob"
-
-    def test_store_round_trips_through_backend(self, tmp_path):
-        backend = DirectoryRemoteStore(tmp_path / "remote")
-        store = ArtifactStore(tmp_path / "cache", backend=backend)
-        store.store("key1", {"answer": 42}, stage="s")
-        status, value = store.load("key1")
-        assert (status, value) == ("hit", {"answer": 42})
-        # The blob lives remotely, not in the local objects dir.
-        assert backend.exists("key1")
-        assert not (tmp_path / "cache" / "objects").exists()
-
-    def test_second_store_instance_shares_remote_blobs(self, tmp_path):
-        backend = DirectoryRemoteStore(tmp_path / "remote")
-        ArtifactStore(tmp_path / "host-a", backend=backend).store(
-            "key1", [1, 2, 3], stage="s"
-        )
-        other = ArtifactStore(
-            tmp_path / "host-b",
-            backend=DirectoryRemoteStore(tmp_path / "remote"),
-        )
-        assert other.load("key1") == ("hit", [1, 2, 3])
-
-    def test_missing_remote_key_is_a_miss(self, tmp_path):
-        store = ArtifactStore(
-            tmp_path / "cache",
-            backend=DirectoryRemoteStore(tmp_path / "remote"),
-        )
-        assert store.load("absent") == ("miss", None)
-
-    def test_corrupt_remote_blob_degrades_to_corrupt(self, tmp_path):
-        backend = DirectoryRemoteStore(tmp_path / "remote")
-        store = ArtifactStore(tmp_path / "cache", backend=backend)
-        store.store("key1", "value", stage="s")
-        blob = backend.get("key1")
-        backend.put("key1", blob[: len(blob) // 2])
-        status, value = store.load("key1")
-        assert (status, value) == ("corrupt", None)
-
-    def test_failing_backend_degrades_to_error(self, tmp_path):
-        store = ArtifactStore(tmp_path / "cache", backend=_FailingBackend())
-        status, value = store.load("key1")
-        assert (status, value) == ("error", None)
-
-    def test_tampered_remote_payload_is_corrupt_not_fatal(self, tmp_path):
-        backend = DirectoryRemoteStore(tmp_path / "remote")
-        store = ArtifactStore(tmp_path / "cache", backend=backend)
-        store.store("key1", "value", stage="s")
-        # Appended bytes break the embedded checksum.
-        backend.put("key1", backend.get("key1") + b"x")
-        status, _value = store.load("key1")
-        assert status == "corrupt"

@@ -235,12 +235,20 @@ class TestArtifactStore:
         store.remember("per_bot", "k2")
         assert store.last_key("per_bot") == "k2"
 
-    def test_corrupted_artifact_is_discarded(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda blob: blob[:-7], id="truncated-payload"),
+            # The header stays intact; the checksum no longer matches.
+            pytest.param(lambda blob: blob + b"x", id="appended-bytes"),
+        ],
+    )
+    def test_corrupted_artifact_is_discarded(self, tmp_path, damage):
         store = ArtifactStore(tmp_path)
         key = "cd" * 32
         store.store(key, [1, 2, 3])
         path = store._object_path(key)
-        path.write_bytes(path.read_bytes()[:-7])  # truncate mid-payload
+        path.write_bytes(damage(path.read_bytes()))
         status, value = store.load(key)
         assert status == "corrupt"
         assert value is None
