@@ -5,8 +5,8 @@ The package provides, as importable layers:
 
 - :mod:`repro.robots` — a full RFC 9309 robots.txt engine (parser,
   matcher, builder, validator, cache, fetch-failure semantics);
-- :mod:`repro.uaparse` — user-agent parsing, a known-bot registry,
-  and the Dark Visitors category taxonomy;
+- :mod:`repro.uaparse` — a known-bot registry that identifies
+  User-Agent values by regex, and the Dark Visitors category taxonomy;
 - :mod:`repro.asn` — ASN registry and whois-style enrichment;
 - :mod:`repro.web` — an in-memory web substrate (sites + server);
 - :mod:`repro.bots` — a calibrated population of crawler agents;

@@ -60,14 +60,6 @@ class CategoryComplianceTable:
             return 0.0
         return sum(cell.compliance for cell in column) / len(column)
 
-    def best_category(self) -> BotCategory:
-        """Category with the highest cross-directive average (RQ2)."""
-        return max(self.cells, key=self.category_average)
-
-    def best_directive(self) -> Directive:
-        """Directive with the highest cross-category average (RQ1)."""
-        return max(Directive, key=self.directive_average)
-
     def categories(self) -> list[BotCategory]:
         return sorted(self.cells, key=lambda category: category.value)
 

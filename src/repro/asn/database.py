@@ -163,9 +163,6 @@ class AsnRegistry:
         info = self._by_number.get(asn)
         return info.name if info is not None else f"AS{asn}"
 
-    def all(self) -> list[AsnInfo]:
-        return list(self._by_number.values())
-
     def of_kind(self, kind: str) -> list[AsnInfo]:
         """All ASNs of a coarse role (``cloud``, ``isp``, ...)."""
         return [row for row in self._by_number.values() if row.kind == kind]

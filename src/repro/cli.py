@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     simulate = commands.add_parser("simulate", help="run the traffic simulation")
-    simulate.add_argument("--scale", type=float, default=0.05)
+    simulate.add_argument("--scale", type=_positive_float, default=0.05)
     simulate.add_argument("--seed", type=int, default=2025)
     simulate.add_argument("--output", type=Path, required=True)
     simulate.add_argument(
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--jobs",
-        type=_at_least(1),
+        type=_int_range(1),
         default=1,
         help="shard preprocessing across N worker processes",
     )
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_options(analyze)
 
     report = commands.add_parser("report", help="simulate + analyze + print")
-    report.add_argument("--scale", type=float, default=0.05)
+    report.add_argument("--scale", type=_positive_float, default=0.05)
     report.add_argument("--seed", type=int, default=2025)
     _add_experiments_option(report)
     _add_cache_options(report)
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scorecard", help="per-bot compliance scorecard from a simulated study"
     )
     scorecard.add_argument("bot", help="canonical bot name (e.g. GPTBot)")
-    scorecard.add_argument("--scale", type=float, default=0.05)
+    scorecard.add_argument("--scale", type=_positive_float, default=0.05)
     scorecard.add_argument("--seed", type=int, default=2025)
 
     cache = commands.add_parser(
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--max-bytes",
-        type=int,
+        type=_int_range(0),
         default=None,
         help="prune: evict least-recently-used artifacts until the "
         "store is at most this many bytes",
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_int_range(0, 65535),
         default=8041,
         help="TCP port (0 picks a free port and prints it)",
     )
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument("--days", type=int, default=None)
     scenarios.add_argument("--seed", type=int, default=None)
-    scenarios.add_argument("--jobs", type=_at_least(1), default=1)
+    scenarios.add_argument("--jobs", type=_int_range(1), default=1)
     scenarios.add_argument(
         "--executor",
         choices=EXECUTOR_CHOICES,
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--workers",
-        type=_at_least(0),
+        type=_int_range(0),
         default=None,
         help="local queue workers to spawn (default: --jobs)",
     )
@@ -403,18 +403,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _at_least(minimum: int):
-    """An argparse ``type`` for integers >= ``minimum``, so a bad count
-    is a usage error (exit 2) before any work starts."""
+def _int_range(minimum: int, maximum: int | None = None):
+    """An argparse ``type`` for integers in ``[minimum, maximum]``, so a
+    bad count or port is a usage error (exit 2) before any work starts."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse ``type`` for a float > 0 (``--scale``)."""
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # so argparse says "invalid float value"
 
 
 def _add_experiments_option(subparser: argparse.ArgumentParser) -> None:

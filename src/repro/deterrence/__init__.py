@@ -5,19 +5,11 @@ robots.txt depends on scraper goodwill; these do not:
 - :class:`RateLimiter` / :class:`TokenBucket` — request budgets;
 - :class:`Blocklist` / :class:`EscalationRule` — TTL blocks;
 - :class:`TarpitGenerator` — unending deterministic fake content;
-- :class:`ChallengeIssuer` — proof-of-work gating;
 - :class:`DeterrenceGateway` — a reverse-proxy chain combining them
   in front of the web substrate, measurable with the same pipeline.
 """
 
 from .blocklist import BlockEntry, Blocklist, EscalationRule
-from .challenge import (
-    Challenge,
-    ChallengeIssuer,
-    DEFAULT_DIFFICULTY_BITS,
-    expected_attempts,
-    solve,
-)
 from .gateway import DeterrenceGateway, GatewayStats, default_gateway
 from .ratelimit import RateKey, RateLimiter, TokenBucket
 from .tarpit import TARPIT_PREFIX, TarpitGenerator, TarpitPage
@@ -25,9 +17,6 @@ from .tarpit import TARPIT_PREFIX, TarpitGenerator, TarpitPage
 __all__ = [
     "BlockEntry",
     "Blocklist",
-    "Challenge",
-    "ChallengeIssuer",
-    "DEFAULT_DIFFICULTY_BITS",
     "DeterrenceGateway",
     "EscalationRule",
     "GatewayStats",
@@ -38,6 +27,4 @@ __all__ = [
     "TarpitPage",
     "TokenBucket",
     "default_gateway",
-    "expected_attempts",
-    "solve",
 ]

@@ -72,10 +72,6 @@ class Blocklist:
             return None
         return entry
 
-    @property
-    def active_blocks(self) -> int:
-        return len(self._ips) + len(self._asns) + len(self._agents)
-
 
 def _entry(now: float, ttl: float | None, reason: str) -> BlockEntry:
     expires = float("inf") if ttl is None else now + ttl

@@ -2,9 +2,9 @@
 
 The cache-determinism and parallel-safety rules need to know the set of
 functions *reachable* from the callables registered as pipeline stages
-(``FunctionStage``/``ShardStage`` constructions and ``@stage``
-decorations, e.g. in ``build_study_pipeline``).  This module discovers
-the registration sites, resolves each registered callable — unwrapping
+(``FunctionStage``/``ShardStage`` constructions, e.g. in
+``build_study_pipeline``).  This module discovers the registration
+sites, resolves each registered callable — unwrapping
 ``functools.partial`` — and walks direct calls transitively, with one
 level of indirection through ``partial`` and instance-method references
 (``pre.run(...)`` resolves to ``Preprocessor.run`` when ``pre`` is
@@ -22,7 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Constructor names whose call sites register a pipeline stage.
 _STAGE_CLASSES = {"FunctionStage", "ShardStage"}
-_STAGE_DECORATOR = "stage"
 
 
 @dataclass(slots=True)
@@ -122,31 +121,6 @@ def _collect_roots(
                 roots.append(
                     _resolve_callable(
                         project, module, scope, expr, stage_name, role
-                    )
-                )
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for decorator in node.decorator_list:
-                target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                resolved = module.resolve(target)
-                if not resolved:
-                    continue
-                if resolved.rsplit(".", 1)[-1] != _STAGE_DECORATOR:
-                    continue
-                if "pipeline" not in resolved and resolved != _STAGE_DECORATOR:
-                    continue
-                name_expr = (
-                    _argument(decorator, 0, "name")
-                    if isinstance(decorator, ast.Call)
-                    else None
-                )
-                decl = project.functions.get(f"{module.name}.{node.name}")
-                roots.append(
-                    StageRoot(
-                        stage_name=_literal_str(name_expr),
-                        role="stage",
-                        decl=decl,
-                        module=module,
-                        node=node,
                     )
                 )
 

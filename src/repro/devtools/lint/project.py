@@ -200,10 +200,6 @@ class Project:
         self.modules = modules
 
     @cached_property
-    def by_name(self) -> dict[str, Module]:
-        return {module.name: module for module in self.modules}
-
-    @cached_property
     def functions(self) -> dict[str, FunctionDecl]:
         """qualname -> declaration for every function/method."""
         index: dict[str, FunctionDecl] = {}

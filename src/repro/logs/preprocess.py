@@ -1,11 +1,11 @@
-"""Log preprocessing: scanner removal, enrichment, standardization.
+"""Log preprocessing: scanner removal, enrichment, bot identification.
 
 Mirrors the paper's §3.1 pipeline:
 
 1. screen out IP hashes behaving like vulnerability scanners;
 2. map ASNs to ARIN org info via the whois client;
-3. standardize bot names by matching user agents against the known-bot
-   registry (regex first, fuzzy second);
+3. name each known bot by matching its user agent against the regexes
+   of the known-bot registry (:meth:`BotRegistry.identify`);
 4. attach Dark Visitors categories.
 """
 
@@ -329,26 +329,10 @@ def merge_preprocess_shards(
     return kept, report
 
 
-def known_bot_records(records: Iterable[LogRecord]) -> list[LogRecord]:
-    """Rows attributed to a known (standardized) bot."""
-    return [record for record in records if record.bot_name is not None]
-
-
 def records_by_bot(records: Iterable[LogRecord]) -> dict[str, list[LogRecord]]:
     """Group rows by standardized bot name (unknowns excluded)."""
     grouped: defaultdict[str, list[LogRecord]] = defaultdict(list)
     for record in records:
         if record.bot_name is not None:
             grouped[record.bot_name].append(record)
-    return dict(grouped)
-
-
-def records_by_category(
-    records: Iterable[LogRecord],
-) -> dict[BotCategory, list[LogRecord]]:
-    """Group known-bot rows by Dark Visitors category."""
-    grouped: defaultdict[BotCategory, list[LogRecord]] = defaultdict(list)
-    for record in records:
-        if record.bot_category is not None:
-            grouped[record.bot_category].append(record)
     return dict(grouped)

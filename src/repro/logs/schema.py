@@ -86,10 +86,6 @@ class LogRecord:
         return is_robots_path(self.uri_path)
 
     @property
-    def url(self) -> str:
-        return f"https://{self.sitename}{self.uri_path}"
-
-    @property
     def tau(self) -> tuple[int, str, str]:
         """The paper's §4.2 requester tuple: (ASN, IP hash, user agent)."""
         return (self.asn, self.ip_hash, self.useragent)

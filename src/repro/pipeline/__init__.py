@@ -83,7 +83,7 @@ from .shard import (
     run_sharded,
     shard_index,
 )
-from .stage import FunctionStage, ShardStage, Stage, stage
+from .stage import FunctionStage, ShardStage, Stage
 from .stages import SiteTraffic, VERSION_DIRECTIVES, build_study_pipeline
 from .store import (
     ArtifactStore,
@@ -118,5 +118,4 @@ __all__ = [
     "restore_order",
     "run_sharded",
     "shard_index",
-    "stage",
 ]

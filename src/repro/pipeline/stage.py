@@ -76,25 +76,6 @@ class FunctionStage:
         return self.fn(context)
 
 
-def stage(
-    name: str, deps: tuple[str, ...] = (), token: str = "1"
-) -> Callable[[Callable[[PipelineContext], object]], FunctionStage]:
-    """Decorator sugar: turn a context function into a FunctionStage.
-
-    Example::
-
-        @stage("overview", deps=("preprocess",))
-        def overview(context):
-            records, _ = context.artifact("preprocess")
-            ...
-    """
-
-    def wrap(fn: Callable[[PipelineContext], object]) -> FunctionStage:
-        return FunctionStage(name=name, fn=fn, deps=deps, token=token)
-
-    return wrap
-
-
 @dataclass(frozen=True)
 class ShardStage:
     """A map/reduce stage over a record partition.

@@ -68,25 +68,6 @@ class Group:
         """True if this group applies to every bot (``User-agent: *``)."""
         return any(agent == "*" for agent in self.user_agents)
 
-    def matches_agent(self, product_token: str) -> bool:
-        """Whether this group applies to ``product_token``.
-
-        Matching is case-insensitive substring-at-start semantics per
-        RFC 9309 section 2.2.1: the group's token must be a
-        case-insensitive prefix match of the crawler's product token
-        (practically, crawlers compare their own token against the
-        group token; we accept a group token that is a prefix of the
-        crawler token or equal to it).
-        """
-        token = product_token.lower()
-        for agent in self.user_agents:
-            candidate = agent.lower()
-            if candidate == "*":
-                continue  # handled by is_catch_all / selection logic
-            if token == candidate or token.startswith(candidate):
-                return True
-        return False
-
     def match_specificity(self, product_token: str) -> int:
         """Length of the longest group token matching ``product_token``.
 

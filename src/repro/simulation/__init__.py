@@ -4,9 +4,7 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "SECONDS_PER_DAY": ".clock",
-    "add_days": ".clock",
     "day_range": ".clock",
-    "days_between": ".clock",
     "epoch": ".clock",
     "iso_day": ".clock",
     "SimulationEngine": ".engine",
@@ -35,9 +33,7 @@ __all__ = [
     "SimulationEngine",
     "StudyDataset",
     "StudyScenario",
-    "add_days",
     "day_range",
-    "days_between",
     "default_scenario",
     "epoch",
     "generate_ip_pool",

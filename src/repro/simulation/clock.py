@@ -8,7 +8,7 @@ phases of two weeks each.
 
 from __future__ import annotations
 
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from functools import lru_cache
 
 SECONDS_PER_DAY = 86_400.0
@@ -49,26 +49,3 @@ def day_range(start: float, end: float) -> list[float]:
         days.append(cursor)
         cursor += SECONDS_PER_DAY
     return days
-
-
-def add_days(start: float, days: float) -> float:
-    return start + days * SECONDS_PER_DAY
-
-
-def parse_day_span(start_day: str, end_day: str) -> tuple[float, float]:
-    """(start, end) epochs for an inclusive-exclusive ISO day span."""
-    return epoch(start_day), epoch(end_day)
-
-
-def datetime_of(epoch_seconds: float) -> datetime:
-    return datetime.fromtimestamp(epoch_seconds, tz=timezone.utc)
-
-
-def days_between(start: float, end: float) -> float:
-    return (end - start) / SECONDS_PER_DAY
-
-
-def next_day(day_iso: str) -> str:
-    """The ISO date one day after ``day_iso``."""
-    stamp = datetime.fromisoformat(day_iso + "T00:00:00+00:00")
-    return (stamp + timedelta(days=1)).strftime("%Y-%m-%d")

@@ -61,10 +61,6 @@ class StudyDataset:
             and phase.contains(record.timestamp)
         ]
 
-    def overview_records(self) -> list[LogRecord]:
-        """Records inside the 40-day overview window (all sites)."""
-        return self.window(self.scenario.overview_start, self.scenario.overview_end)
-
     # -- pipeline ingestion hooks -------------------------------------
 
     def source(self):

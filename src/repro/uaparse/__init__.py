@@ -1,32 +1,21 @@
-"""User-agent handling: parsing, known-bot registry, categorization.
+"""User-agent handling: the known-bot registry and its categories.
 
 Public surface:
 
-- :func:`parse_user_agent` — structural UA parsing (RFC 9110 tokens);
-- :class:`BotRegistry` / :func:`default_registry` — identification and
-  name standardization against the built-in known-bot dataset;
+- :class:`BotRegistry` / :func:`default_registry` — identification of
+  a raw User-Agent against the built-in known-bot dataset, one regex
+  scan per value;
 - :class:`BotCategory` / :class:`RobotsPromise` — the Dark Visitors
-  taxonomy used throughout the paper;
-- :func:`best_match` / :func:`similarity` — the fuzzy matching
-  primitive used for standardization.
+  taxonomy used throughout the paper.
 """
 
 from .categories import BotCategory, RobotsPromise
-from .fuzzy import best_match, levenshtein, normalize_name, similarity
-from .parser import ProductToken, UserAgent, parse_user_agent
 from .registry import BotRecord, BotRegistry, default_registry
 
 __all__ = [
     "BotCategory",
     "BotRecord",
     "BotRegistry",
-    "ProductToken",
     "RobotsPromise",
-    "UserAgent",
-    "best_match",
     "default_registry",
-    "levenshtein",
-    "normalize_name",
-    "parse_user_agent",
-    "similarity",
 ]

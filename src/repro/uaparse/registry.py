@@ -1,9 +1,9 @@
-"""Known-bot registry: identification and name standardization.
+"""Known-bot registry: identification against the pattern dataset.
 
-Combines the pattern dataset (:mod:`repro.uaparse.data`) with fuzzy
-matching (:mod:`repro.uaparse.fuzzy`) to turn raw User-Agent values
-into canonical bot identities, the way the paper standardizes bot
-names before any analysis.
+Matches raw User-Agent values against the regexes of the known-bot
+dataset (:mod:`repro.uaparse.data`) to turn them into canonical bot
+identities, the way the paper identifies self-declared bots before any
+analysis.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .categories import BotCategory, RobotsPromise
 from .data import KNOWN_BOT_ROWS, BotRow
-from .fuzzy import best_match
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,6 @@ class BotRecord:
     category: BotCategory
     entity: str
     promise: RobotsPromise
-
-    @property
-    def compiled(self) -> re.Pattern[str]:
-        return _compile(self.pattern)
 
 
 def _compile(pattern: str) -> re.Pattern[str]:
@@ -68,32 +63,11 @@ class BotRegistry:
                 return record
         return None
 
-    def is_known_bot(self, user_agent: str) -> bool:
-        return self.identify(user_agent) is not None
-
-    # -- name lookup / standardization ----------------------------------
+    # -- name lookup -----------------------------------------------------
 
     def get(self, name: str) -> BotRecord | None:
         """Exact (case-insensitive) lookup by canonical name."""
         return self._by_name.get(name.lower())
-
-    def standardize(self, observed_name: str, threshold: float = 0.82) -> BotRecord | None:
-        """Map an observed bot name onto a canonical record.
-
-        Tries exact lookup, then pattern matching, then fuzzy matching
-        against all canonical names — the same escalation the paper's
-        preprocessing applies.
-        """
-        record = self.get(observed_name)
-        if record is not None:
-            return record
-        record = self.identify(observed_name)
-        if record is not None:
-            return record
-        match = best_match(observed_name, self._by_name, threshold=threshold)
-        if match is None:
-            return None
-        return self._by_name[match[0]]
 
     def category_of(self, user_agent: str) -> BotCategory:
         """Category for a raw UA value; OTHER when unidentified."""

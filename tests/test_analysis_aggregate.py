@@ -57,11 +57,6 @@ class TestCategoryCompliance:
         # SEO 0.25, AI Data 0.5 -> 0.375
         assert abs(crawl_avg - 0.375) < 1e-9
 
-    def test_best_category_and_directive(self):
-        table = category_compliance(make_results())
-        assert table.best_category() is BotCategory.AI_DATA_SCRAPER
-        assert table.best_directive() is Directive.DISALLOW_ALL
-
     def test_unknown_bot_lands_in_other(self):
         results = {
             "MysteryBot": {

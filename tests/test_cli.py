@@ -152,6 +152,16 @@ class TestCountAndChoiceValidation:
             ),
             (["analyze", "LOG", "--executor", "queue"], "invalid choice: 'queue'"),
             (["report", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+            # A scale must be positive; the simulator would raise on it.
+            (["simulate", "--scale", "0", "--output", "X"], "--scale: must be > 0"),
+            (["report", "--scale", "-0.5"], "--scale: must be > 0, got -0.5"),
+            (["scorecard", "GPTBot", "--scale", "0"], "--scale: must be > 0"),
+            (["serve", "--port", "99999"], "--port: must be <= 65535, got 99999"),
+            (["serve", "--port", "-1"], "--port: must be >= 0, got -1"),
+            (
+                ["cache", "prune", "--cache-dir", "D", "--max-bytes", "-5"],
+                "--max-bytes: must be >= 0, got -5",
+            ),
         ],
     )
     def test_bad_count_exits_2_with_usage(self, tmp_path, capsys, argv, message):

@@ -3,11 +3,6 @@
 import pytest
 
 from repro.deterrence.blocklist import Blocklist, EscalationRule
-from repro.deterrence.challenge import (
-    ChallengeIssuer,
-    expected_attempts,
-    solve,
-)
 from repro.deterrence.gateway import DeterrenceGateway, default_gateway
 from repro.deterrence.ratelimit import RateKey, RateLimiter, TokenBucket
 from repro.deterrence.tarpit import TARPIT_PREFIX, TarpitGenerator
@@ -164,33 +159,6 @@ class TestTarpit:
         a = TarpitGenerator(seed="a").entry_path()
         b = TarpitGenerator(seed="b").entry_path()
         assert a != b
-
-
-class TestChallenge:
-    def test_solve_and_verify(self):
-        issuer = ChallengeIssuer(difficulty_bits=8)
-        challenge = issuer.issue("client-1")
-        nonce = solve(challenge)
-        assert nonce is not None
-        assert issuer.verify(challenge, nonce)
-        assert issuer.verified == 1
-
-    def test_wrong_nonce_rejected(self):
-        issuer = ChallengeIssuer(difficulty_bits=16)
-        challenge = issuer.issue("client-1")
-        # A specific nonce almost surely fails at 16 bits.
-        assert not issuer.verify(challenge, 1)
-
-    def test_identity_binding(self):
-        issuer = ChallengeIssuer()
-        assert issuer.issue("a").token != issuer.issue("b").token
-
-    def test_expected_attempts(self):
-        assert expected_attempts(16) == 65536
-
-    def test_bad_difficulty(self):
-        with pytest.raises(ValueError):
-            ChallengeIssuer(difficulty_bits=0)
 
 
 class TestGateway:

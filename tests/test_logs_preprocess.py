@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from repro.logs.preprocess import (
     Preprocessor,
     find_scanner_ips,
-    known_bot_records,
     looks_like_probe,
     records_by_bot,
-    records_by_category,
     scanner_stats,
 )
 from repro.logs.schema import LogRecord
@@ -160,20 +158,8 @@ class TestPreprocessor:
 
 
 class TestGrouping:
-    def test_known_bot_records(self):
-        records = [record(ua="GPTBot/1.2"), record()]
-        kept, _ = Preprocessor().run(records)
-        assert len(known_bot_records(kept)) == 1
-
     def test_records_by_bot(self):
         records = [record(ua="GPTBot/1.2"), record(ua="ClaudeBot/1.0"), record()]
         kept, _ = Preprocessor().run(records)
         grouped = records_by_bot(kept)
         assert set(grouped) == {"GPTBot", "ClaudeBot"}
-
-    def test_records_by_category(self):
-        records = [record(ua="GPTBot/1.2"), record(ua="AhrefsBot/7.0")]
-        kept, _ = Preprocessor().run(records)
-        grouped = records_by_category(kept)
-        assert BotCategory.AI_DATA_SCRAPER in grouped
-        assert BotCategory.SEO_CRAWLER in grouped

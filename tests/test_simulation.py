@@ -13,12 +13,9 @@ from repro.exceptions import ScenarioError
 from repro.robots.corpus import RobotsVersion
 from repro.simulation.clock import (
     SECONDS_PER_DAY,
-    add_days,
     day_range,
-    days_between,
     epoch,
     iso_day,
-    next_day,
 )
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.iphash import IpAnonymizer, generate_ip_pool
@@ -66,13 +63,6 @@ class TestClock:
         assert len(days) == 3
         assert days[1] - days[0] == SECONDS_PER_DAY
 
-    def test_add_and_between(self):
-        start = epoch("2025-02-12")
-        assert days_between(start, add_days(start, 14)) == 14.0
-
-    def test_next_day(self):
-        assert next_day("2025-02-28") == "2025-03-01"
-
 
 class TestIpAnonymizer:
     def test_deterministic(self):
@@ -110,7 +100,8 @@ class TestScenario:
         assert base.duration_days == 14.0
         v3 = scenario.phase_for_version(RobotsVersion.V3_DISALLOW_ALL)
         assert iso_day(v3.end) == "2025-03-26"
-        assert days_between(scenario.overview_start, scenario.overview_end) == 40.0
+        overview_days = scenario.overview_end - scenario.overview_start
+        assert overview_days == 40 * SECONDS_PER_DAY
 
     def test_version_at(self):
         scenario = default_scenario()

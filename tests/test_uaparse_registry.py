@@ -61,23 +61,6 @@ class TestIdentify:
         assert extended is not None and extended.name == "Applebot-Extended"
 
 
-class TestStandardize:
-    def test_exact_name(self):
-        record = default_registry().standardize("Googlebot")
-        assert record is not None and record.name == "Googlebot"
-
-    def test_fuzzy_variant(self):
-        record = default_registry().standardize("google bot")
-        assert record is not None and record.name == "Googlebot"
-
-    def test_versioned_name(self):
-        record = default_registry().standardize("bingbot/2.0")
-        assert record is not None and record.name == "bingbot"
-
-    def test_unknown_name(self):
-        assert default_registry().standardize("TotallyNovelBot9000") is None
-
-
 class TestRegistryShape:
     def test_at_least_130_bots(self):
         """The paper analyzes 130 self-declared bots; the registry must
