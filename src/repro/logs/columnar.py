@@ -16,11 +16,14 @@ fixed-size batches and hashes each raw column in one call, and the
 shard partitioner (:func:`repro.pipeline.shard.partition_batches`)
 gathers batches by key column into batch-backed shards.  The Parquet
 codec (:mod:`repro.logs.parquet`) uses them internally as row groups.
-The analysis reducers fold row objects.  The cached ``preprocess``
-records are a :class:`RecordList`: a plain row list in memory that
-pickles as dictionary-encoded columns.
+The analysis reducers fold row objects.  Rows that cross a process
+or cache boundary travel as a :class:`RecordList`: a plain row list in
+memory that pickles as dictionary-encoded columns.  That covers the
+cached ``preprocess`` records and both directions of the sharded
+preprocess map (a batch-backed shard's payload rows and each worker's
+enriched result, which is also the per-shard cache entry).
 Row objects remain available everywhere as thin views —
-:meth:`RecordBatch.row` / :meth:`RecordBatch.rows` build
+:meth:`RecordBatch.rows` / :meth:`RecordBatch.to_records` build
 :class:`~repro.logs.schema.LogRecord` objects on demand — and the
 columnar == row parity is property-tested byte-for-byte.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache
 from operator import attrgetter
 
 from ..exceptions import LogSchemaError
@@ -48,6 +52,15 @@ _TYPECODES = {"f64": "d", "i64": "q"}
 
 #: Serialized column name -> ColumnSpec, for O(1) lookups.
 _SPEC_BY_NAME = {spec.name: spec for spec in COLUMN_SPECS}
+
+#: Position of the ``bot_category`` column, whose batch values are
+#: labels and whose row values are :class:`BotCategory` members.
+_CATEGORY_COLUMN = [spec.name for spec in COLUMN_SPECS].index("bot_category")
+
+
+@lru_cache(maxsize=64)
+def _category(label: str | None) -> BotCategory | None:
+    return BotCategory.from_label(label) if label else None
 
 
 def _empty_column(kind: str) -> "array | list":
@@ -171,36 +184,23 @@ class RecordBatch:
 
     # -- row views -----------------------------------------------------
 
-    def row(self, index: int) -> LogRecord:
-        """Materialize one row as a :class:`LogRecord` (thin view)."""
-        columns = self._columns
-        label = columns["bot_category"][index]
-        return LogRecord(
-            useragent=columns["useragent"][index],
-            timestamp=columns["timestamp"][index],
-            ip_hash=columns["ip_hash"][index],
-            asn=columns["asn"][index],
-            sitename=columns["sitename"][index],
-            uri_path=columns["uri_path"][index],
-            status_code=columns["status_code"][index],
-            bytes_sent=columns["bytes"][index],
-            referer=columns["referer"][index],
-            bot_name=columns["bot_name"][index],
-            bot_category=BotCategory.from_label(label) if label else None,
-            asn_name=columns["asn_name"][index],
-        )
-
     def rows(self) -> Iterator[LogRecord]:
-        """Lazily build every row (one live object at a time)."""
-        for index in range(len(self)):
-            yield self.row(index)
+        """Lazily build every row (one live object at a time).
+
+        Zips the columns straight into :class:`LogRecord`, whose fields
+        are in :data:`COLUMN_SPECS` order; only category labels are
+        converted.
+        """
+        columns = [self._columns[spec.name] for spec in COLUMN_SPECS]
+        columns[_CATEGORY_COLUMN] = map(_category, columns[_CATEGORY_COLUMN])
+        return map(LogRecord, *columns)
 
     def __iter__(self) -> Iterator[LogRecord]:
         return self.rows()
 
-    def to_records(self) -> list[LogRecord]:
+    def to_records(self) -> "RecordList":
         """The columnar -> row converter (builds every row at once)."""
-        return list(self.rows())
+        return RecordList(self.rows())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecordBatch):
@@ -224,7 +224,8 @@ class RecordList(list):
     codes, so a value that repeats on every row (a site, a user agent,
     a bot name) is stored once instead of once per record.  Unpickling
     rebuilds equal rows in order, sharing one object per distinct
-    value.  The cached ``preprocess`` artifact is one of these.
+    value.  The cached ``preprocess`` artifact, a batch-backed shard's
+    rows and a preprocess shard's result are all of these.
     """
 
     __slots__ = ()

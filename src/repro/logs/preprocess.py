@@ -231,7 +231,11 @@ class ShardPreprocess:
     Attributes:
         records: the shard's records, enriched in place (bot name,
             category, ASN handle) but *not* scanner-filtered — the
-            scanner verdict needs global counters.
+            scanner verdict needs global counters.  A
+            :class:`~repro.logs.columnar.RecordList`, so a result sent
+            back from a worker process or cached per shard pickles as
+            dictionary-encoded columns (an entry cached as a plain
+            list still merges the same way).
         input_records: rows in this shard.
         totals: per-IP access counts (mergeable).
         probes: per-IP probe-looking access counts (mergeable).
@@ -255,6 +259,8 @@ def preprocess_shard(
     registry and whois client (both deterministic, so enrichment is
     identical no matter which worker handles a record).
     """
+    if not isinstance(records, RecordList):
+        records = RecordList(records)
     preprocessor = Preprocessor()
     if drop_scanners:
         _, totals, probes = scanner_stats(records)

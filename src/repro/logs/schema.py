@@ -182,4 +182,3 @@ CSV_COLUMNS: tuple[str, ...] = tuple(spec.name for spec in COLUMN_SPECS)
 RAW_COLUMNS: tuple[str, ...] = tuple(
     spec.name for spec in COLUMN_SPECS if not spec.enrichment
 )
-

@@ -232,4 +232,3 @@ def _least_squares_slope(series: list[tuple[float, float]]) -> float:
         (t - mean_t) * (v - mean_v) for t, v in zip(times, values)
     )
     return numerator / denominator
-

@@ -53,10 +53,13 @@ class Shard:
     """One hash partition of a record stream.
 
     A shard from :func:`partition_batches` is backed by a
-    :class:`RecordBatch`; :attr:`records` builds its rows on
-    first access, and the per-shard artifact cache hashes the batch
-    columns directly.  Any other payload — e.g. scenario-matrix cells,
-    whose "records" are declarative specs rather than
+    :class:`RecordBatch`; :attr:`records` builds a fresh
+    :class:`~repro.logs.columnar.RecordList` of its rows on each access
+    and keeps none, so the rows live only as long as the map that
+    reads them, and a ``process`` map pickles them as
+    dictionary-encoded columns.  The per-shard artifact cache hashes
+    the batch columns directly.  Any other payload — e.g.
+    scenario-matrix cells, whose "records" are declarative specs rather than
     :class:`LogRecord` rows — is passed as ``records`` together with
     an explicit ``fingerprint``: a digest of the payload itself, so
     each shard's cache entry keys on exactly what the worker will see.
@@ -95,10 +98,13 @@ class Shard:
 
     @property
     def records(self) -> list[LogRecord]:
-        """The shard's rows, in stream order (built on first access)."""
+        """The shard's rows, in stream order: a payload shard's own
+        list, or a new :class:`~repro.logs.columnar.RecordList` built
+        from the batch.
+        """
         if self._records is None:
             assert self.batch is not None
-            self._records = self.batch.to_records()
+            return self.batch.to_records()
         return self._records
 
     def __len__(self) -> int:

@@ -79,8 +79,9 @@ class TestRecordBatchCore:
         labels = list(batch.column("bot_category"))
         assert labels == [BotCategory.AI_DATA_SCRAPER.value, None]
         # ... and the row view re-materializes the enum.
-        assert batch.row(0).bot_category is BotCategory.AI_DATA_SCRAPER
-        assert batch.row(1).bot_category is None
+        first, second = batch.to_records()
+        assert first.bot_category is BotCategory.AI_DATA_SCRAPER
+        assert second.bot_category is None
 
     def test_from_columns_missing_column_raises(self):
         columns = {name: [] for name in CSV_COLUMNS if name != "asn"}

@@ -10,12 +10,19 @@ integration test runs real worker processes over the shared quick
 dataset comparing rendered tables byte for byte.
 """
 
+import itertools
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bots.profiles import build_profiles
+from repro.logs.columnar import RecordBatch, RecordList
+from repro.logs.io import iter_log_records, write_log
+from repro.logs.preprocess import preprocess_shard
 from repro.logs.schema import LogRecord
-from repro.pipeline import PipelineConfig, build_study_pipeline
+from repro.pipeline import ArtifactStore, PipelineConfig, build_study_pipeline
+from repro.pipeline.shard import Shard, partition_batches
 from repro.reporting.experiments import run_experiment
 from repro.reporting.study import StudyAnalysis
 from repro.simulation import quick_scenario
@@ -139,3 +146,81 @@ class TestProcessExecutorParity:
                 run_experiment(experiment_id, sharded).rendered
                 == run_experiment(experiment_id, quick_analysis).rendered
             ), experiment_id
+
+
+class TestColumnarShardTransport:
+    """Shard payloads and preprocess results are :class:`RecordList`s,
+    so a ``process`` map pickles them as dictionary-encoded columns."""
+
+    @staticmethod
+    def _rows(count):
+        combos = itertools.product(PATHS, USER_AGENTS, SITES)
+        return [
+            _record((site, ua, f"ip-{tick % 7}", 15169, path, tick))
+            for tick, (path, ua, site) in zip(
+                range(count), itertools.cycle(combos)
+            )
+        ]
+
+    def test_preprocess_shard_returns_a_compact_record_list(
+        self, quick_dataset, tmp_path
+    ):
+        # Rows read back from a log, as the CLI's analyze sees them:
+        # every row holds its own string objects.
+        path = tmp_path / "log.jsonl"
+        write_log(quick_dataset.records[:3000], path)
+        rows = list(iter_log_records(path))
+        part = preprocess_shard(rows)
+        assert isinstance(part.records, RecordList)
+        assert part.records == rows
+        columnar = len(pickle.dumps(part.records, pickle.HIGHEST_PROTOCOL))
+        plain = len(pickle.dumps(list(part.records), pickle.HIGHEST_PROTOCOL))
+        assert columnar * 2 <= plain
+
+    def test_batch_backed_shard_builds_a_fresh_record_list(self):
+        shards = partition_batches([RecordBatch.from_records(self._rows(60))], 2)
+        assert all(len(shard) for shard in shards)
+        for shard in shards:
+            records = shard.records
+            assert isinstance(records, RecordList)
+            assert records == shard.batch.to_records()
+            assert shard.records is not records
+
+    def test_payload_shard_returns_its_own_list(self):
+        payload = ["cell-a", "cell-b"]
+        shard = Shard(index=0, records=payload, fingerprint="f")
+        assert shard.records is payload
+
+    def test_plain_list_shard_entry_still_merges(self, tmp_path):
+        """A per-shard ``preprocess[i]`` entry whose records are a plain
+        list (the earlier on-disk form) loads and merges unchanged."""
+        rows = self._rows(200)
+
+        def pipeline():
+            return build_study_pipeline(
+                source=[pickle.loads(pickle.dumps(row)) for row in rows],
+                scenario=SCENARIO,
+                config=PipelineConfig(jobs=2, executor="inline"),
+                cache_dir=tmp_path,
+            )
+
+        expected_records, expected_report = pipeline().get("preprocess")
+        store = ArtifactStore(tmp_path)
+        for index in range(2):
+            stage = f"preprocess[{index}]"
+            key = store.last_key(stage)
+            status, part = store.load(key)
+            assert status == "hit" and isinstance(part.records, RecordList)
+            part.records = list(part.records)
+            store.store(key, part, stage=stage)
+            assert type(store.load(key)[1].records) is list
+        store._object_path(store.last_key("preprocess")).unlink()
+
+        reader = pipeline()
+        records, report = reader.get("preprocess")
+        assert reader.context.stats.shard_hits["preprocess"] == [0, 1]
+        assert reader.context.stats.shard_misses["preprocess"] == []
+        assert report == expected_report
+        assert [r.to_dict() for r in records] == [
+            r.to_dict() for r in expected_records
+        ]
