@@ -139,4 +139,3 @@ def test_sharded_pipeline_speedup_and_parity(bench_timings):
         enforced=ENFORCE_SPEEDUP,
     )
     assert_speedup(speedup)
-

@@ -58,9 +58,11 @@ unchanged log loads every artifact from disk, and appending records
 reruns only the affected shard plus downstream stages.  ``--no-cache``
 skips cache reads but still publishes fresh artifacts (a refresh).
 
-Only ``simulate``, ``report``, ``scorecard`` and a ``scenarios`` run
-that computes a cell import the simulator (and numpy); every other
-command, warm or cold, runs without them.
+Each handler imports the modules it runs, so ``import repro.cli``
+loads only argparse and :mod:`repro.choices` (the format, executor and
+experiment-id choices).  Only ``simulate``, ``report``, ``scorecard``
+and a ``scenarios`` run that computes a cell import the simulator (and
+numpy); every other command, warm or cold, runs without them.
 """
 
 from __future__ import annotations
@@ -68,22 +70,19 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
+from .choices import EXECUTOR_CHOICES, EXPERIMENT_IDS, LOG_FORMATS
 from .exceptions import (
     ConfigError,
     LogSchemaError,
     MissingDependencyError,
     PipelineError,
 )
-from .logs.io import LOG_FORMATS, convert_log, write_log
-from .pipeline.context import EXECUTOR_CHOICES, RecordSource
-from .reporting.experiments import EXPERIMENTS, run_all, run_experiment
-from .reporting.study import StudyAnalysis
-from .robots.corpus import all_versions, render_version
-from .robots.policy import RobotsPolicy
-from .robots.validator import validate
-from .simulation.scenario import default_scenario
+
+if TYPE_CHECKING:
+    from .reporting.study import StudyAnalysis
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,10 +435,10 @@ def _add_experiments_option(subparser: argparse.ArgumentParser) -> None:
         "--experiments",
         nargs="*",
         type=str.upper,
-        choices=EXPERIMENTS,
+        choices=EXPERIMENT_IDS,
         default=None,
         metavar="ID",
-        help=f"artifact ids to print (default: all of {', '.join(EXPERIMENTS)})",
+        help=f"artifact ids to print (default: all of {', '.join(EXPERIMENT_IDS)})",
     )
 
 
@@ -463,6 +462,7 @@ def _add_cache_options(subparser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .logs.io import write_log
     from .simulation.engine import run_study
 
     dataset = run_study(
@@ -480,6 +480,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _print_experiments(analysis: StudyAnalysis, wanted: list[str] | None) -> int:
+    from .reporting.experiments import run_all, run_experiment
+
     if wanted:
         for experiment_id in wanted:
             print(run_experiment(experiment_id, analysis).rendered)
@@ -491,19 +493,18 @@ def _print_experiments(analysis: StudyAnalysis, wanted: list[str] | None) -> int
     return 0
 
 
-def _record_reader(args: argparse.Namespace) -> RecordSource:
-    """A row source over ``args.log`` in ``args.format``, parsed once."""
-    return RecordSource.from_file(args.log, args.format, args.site, args.asn)
-
-
 def _print_cache_stats(analysis: StudyAnalysis, args: argparse.Namespace) -> None:
     if args.cache_dir is not None:
         print(f"cache: {analysis.cache_stats.summary()}", file=sys.stderr)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .pipeline.context import RecordSource
+    from .reporting.study import StudyAnalysis
+    from .simulation.scenario import default_scenario
+
     analysis = StudyAnalysis.from_source(
-        _record_reader(args),
+        RecordSource.from_file(args.log, args.format, args.site, args.asn),
         scenario=default_scenario(seed=args.seed),
         jobs=args.jobs,
         executor=args.executor,
@@ -521,6 +522,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .reporting.study import StudyAnalysis
     from .simulation.engine import run_study
 
     dataset = run_study(scale=args.scale, seed=args.seed)
@@ -539,6 +541,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    from .logs.io import convert_log
+
     count = convert_log(
         args.source,
         args.target,
@@ -588,6 +592,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_robots(args: argparse.Namespace) -> int:
+    from .robots.policy import RobotsPolicy
+    from .robots.validator import validate
+
     text = args.file.read_text(encoding="utf-8", errors="replace")
     findings = validate(text)
     if findings:
@@ -620,6 +627,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
     from .reporting.scorecard import render_scorecard
+    from .reporting.study import StudyAnalysis
     from .simulation.engine import run_study
 
     dataset = run_study(scale=args.scale, seed=args.seed)
@@ -719,6 +727,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_versions(_args: argparse.Namespace) -> int:
+    from .robots.corpus import all_versions, render_version
+
     for version in all_versions():
         title = f"# {version.value}: {version.directive_name}"
         print(title)
@@ -750,8 +760,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from .reporting.scorecard import render_deterrence_scorecard, render_roc_table
     from .scenarios import parse_grid, run_matrix
+    from .scenarios.report import render_deterrence_scorecard, render_roc_table
 
     if args.executor == "queue" and args.spool is None:
         raise ConfigError("--executor queue requires --spool DIR")

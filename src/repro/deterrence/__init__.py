@@ -9,10 +9,24 @@ robots.txt depends on scraper goodwill; these do not:
   in front of the web substrate, measurable with the same pipeline.
 """
 
-from .blocklist import BlockEntry, Blocklist, EscalationRule
-from .gateway import DeterrenceGateway, GatewayStats, default_gateway
-from .ratelimit import RateKey, RateLimiter, TokenBucket
-from .tarpit import TARPIT_PREFIX, TarpitGenerator, TarpitPage
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "BlockEntry": ".blocklist",
+    "Blocklist": ".blocklist",
+    "EscalationRule": ".blocklist",
+    "DeterrenceGateway": ".gateway",
+    "GatewayStats": ".gateway",
+    "default_gateway": ".gateway",
+    "RateKey": ".ratelimit",
+    "RateLimiter": ".ratelimit",
+    "TokenBucket": ".ratelimit",
+    "TARPIT_PREFIX": ".tarpit",
+    "TarpitGenerator": ".tarpit",
+    "TarpitPage": ".tarpit",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BlockEntry",

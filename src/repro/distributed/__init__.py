@@ -18,14 +18,25 @@ Entry points:
   fault tests use this).
 """
 
-from .coordinator import (
-    QueueCoordinator,
-    local_worker_pool,
-    run_sharded_queue,
-)
-from .lease import DEFAULT_LEASE_TTL, Heartbeat, Lease
-from .queue import FilesystemSpool, SpoolBackend, SpoolTask, task_id_for
-from .worker import default_worker_id, process_one, run_worker
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "QueueCoordinator": ".coordinator",
+    "local_worker_pool": ".coordinator",
+    "run_sharded_queue": ".coordinator",
+    "DEFAULT_LEASE_TTL": ".lease",
+    "Heartbeat": ".lease",
+    "Lease": ".lease",
+    "FilesystemSpool": ".queue",
+    "SpoolBackend": ".queue",
+    "SpoolTask": ".queue",
+    "task_id_for": ".queue",
+    "default_worker_id": ".worker",
+    "process_one": ".worker",
+    "run_worker": ".worker",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "DEFAULT_LEASE_TTL",

@@ -1,49 +1,50 @@
 """Access-log pipeline: schema, columnar batches, IO, preprocessing,
 sessionization."""
 
-from .columnar import (
-    DEFAULT_BATCH_RECORDS,
-    RecordBatch,
-    iter_batches,
-)
-from .io import (
-    LOG_FORMATS,
-    convert_log,
-    iter_log_records,
-    parse_clf_line,
-    read_clf,
-    read_csv,
-    read_jsonl,
-    render_clf_line,
-    write_clf,
-    write_csv,
-    write_jsonl,
-    write_log,
-)
-from .preprocess import (
-    PreprocessReport,
-    Preprocessor,
-    find_scanner_ips,
-    looks_like_probe,
-    records_by_bot,
-)
-from .schema import (
-    COLUMN_SPECS,
-    CSV_COLUMNS,
-    RAW_COLUMNS,
-    ColumnSpec,
-    LogRecord,
-    from_iso8601,
-    is_robots_path,
-    to_iso8601,
-)
-from .sessionize import (
-    SESSION_TIMEOUT_SECONDS,
-    Session,
-    sessionize,
-    sessions_by_category,
-    sessions_per_day,
-)
+from .._lazy import lazy_exports
+from .sessionize import sessionize
+
+# ``sessionize`` is bound eagerly above: it names both a submodule and
+# its function, and loading the submodule binds the module here, which
+# would shadow a lazy export of the function.
+
+_EXPORTS = {
+    "DEFAULT_BATCH_RECORDS": ".columnar",
+    "RecordBatch": ".columnar",
+    "iter_batches": ".columnar",
+    "LOG_FORMATS": ".io",
+    "convert_log": ".io",
+    "iter_log_records": ".io",
+    "parse_clf_line": ".io",
+    "read_clf": ".io",
+    "read_csv": ".io",
+    "read_jsonl": ".io",
+    "render_clf_line": ".io",
+    "write_clf": ".io",
+    "write_csv": ".io",
+    "write_jsonl": ".io",
+    "write_log": ".io",
+    "PreprocessReport": ".preprocess",
+    "Preprocessor": ".preprocess",
+    "find_scanner_ips": ".preprocess",
+    "looks_like_probe": ".preprocess",
+    "records_by_bot": ".preprocess",
+    "COLUMN_SPECS": ".schema",
+    "CSV_COLUMNS": ".schema",
+    "RAW_COLUMNS": ".schema",
+    "ColumnSpec": ".schema",
+    "LogRecord": ".schema",
+    "from_iso8601": ".schema",
+    "is_robots_path": ".schema",
+    "to_iso8601": ".schema",
+    "SESSION_TIMEOUT_SECONDS": ".sessionize",
+    "Session": ".sessionize",
+    "sessionize": ".sessionize",
+    "sessions_by_category": ".sessionize",
+    "sessions_per_day": ".sessionize",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "COLUMN_SPECS",

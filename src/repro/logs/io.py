@@ -24,12 +24,9 @@ from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ..choices import LOG_FORMATS
 from ..exceptions import LogSchemaError
 from .schema import CSV_COLUMNS, LogRecord
-
-#: Formats understood by :func:`iter_log_records` and :func:`write_log`
-#: (and the CLI's ``--format`` / ``convert`` surfaces).
-LOG_FORMATS: tuple[str, ...] = ("jsonl", "csv", "clf", "parquet")
 
 #: What :meth:`LogRecord.from_dict` raises on a row with a missing,
 #: null or mistyped field (``json.JSONDecodeError`` is a ValueError).

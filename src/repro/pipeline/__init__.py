@@ -74,26 +74,34 @@ Quickstart::
     print(pipeline.context.stats.summary())      # hits/misses this run
 """
 
-from .context import PipelineConfig, PipelineContext, RecordSource
-from .runner import Pipeline
-from .shard import (
-    Shard,
-    partition_batches,
-    restore_order,
-    run_sharded,
-    shard_index,
-)
-from .stage import FunctionStage, ShardStage, Stage
-from .stages import SiteTraffic, VERSION_DIRECTIVES, build_study_pipeline
-from .store import (
-    ArtifactStore,
-    CacheStats,
-    PruneResult,
-    SourceFingerprint,
-    StoreInfo,
-    fingerprint_batch,
-    fingerprint_stream,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "PipelineConfig": ".context",
+    "PipelineContext": ".context",
+    "RecordSource": ".context",
+    "Pipeline": ".runner",
+    "Shard": ".shard",
+    "partition_batches": ".shard",
+    "restore_order": ".shard",
+    "run_sharded": ".shard",
+    "shard_index": ".shard",
+    "FunctionStage": ".stage",
+    "ShardStage": ".stage",
+    "Stage": ".stage",
+    "SiteTraffic": "..analysis.overview",
+    "VERSION_DIRECTIVES": ".stages",
+    "build_study_pipeline": ".stages",
+    "ArtifactStore": ".store",
+    "CacheStats": ".store",
+    "PruneResult": ".store",
+    "SourceFingerprint": ".store",
+    "StoreInfo": ".store",
+    "fingerprint_batch": ".store",
+    "fingerprint_stream": ".store",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ArtifactStore",

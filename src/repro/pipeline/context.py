@@ -32,6 +32,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..choices import EXECUTOR_CHOICES
 from ..exceptions import PipelineError
 from ..logs.columnar import DEFAULT_BATCH_RECORDS, RecordBatch, iter_batches
 from ..logs.io import iter_log_records
@@ -46,11 +47,6 @@ from .store import (
     file_sha256,
     fingerprint_stream,
 )
-
-#: Valid shard executor backends.  ``queue`` dispatches shard work to
-#: a filesystem-spool task queue (:mod:`repro.distributed`) consumed by
-#: worker processes on this or other hosts; it requires ``spool``.
-EXECUTOR_CHOICES: tuple[str, ...] = ("process", "inline", "queue")
 
 #: Version of the bytes -> rows mapping of the log readers.  It keys the
 #: source-fingerprint memo, so bump it whenever a reader change can

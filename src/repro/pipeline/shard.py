@@ -30,10 +30,8 @@ the configured backend:
 
 from __future__ import annotations
 
-import multiprocessing
 import zlib
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from typing import TypeVar
 
 from ..exceptions import PipelineError
@@ -188,6 +186,8 @@ def restore_order(
 
 
 def _process_context():
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -214,6 +214,9 @@ def run_sharded(
         )
     if jobs <= 1 or len(payloads) <= 1 or executor == "inline":
         return [worker(payload) for payload in payloads]
+    # Imported here: a run that needs no pool (warm, inline) loads neither.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(payloads)), mp_context=_process_context()
     ) as pool:

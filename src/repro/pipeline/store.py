@@ -47,10 +47,13 @@ import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..exceptions import ArtifactCorruptionError, PipelineError
-from ..logs.columnar import RecordBatch, iter_batches
-from ..logs.schema import RAW_COLUMNS, LogRecord
+
+if TYPE_CHECKING:
+    from ..logs.columnar import RecordBatch
+    from ..logs.schema import LogRecord
 
 #: Bump to invalidate every cached artifact (on-disk format changes,
 #: cross-cutting semantic fixes).  Stage-local changes should bump the
@@ -128,9 +131,14 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
 # column values, never on the serialization format the corpus came
 # from.  JSONL, CSV and Parquet encodings of the same records hit the
 # same cache entries.
+#
+# The log modules are imported where a fingerprint is taken, so code
+# that only keys or stores artifacts (the scenario grid) loads none.
 
 
 def _update_chunk_digest(digest, batch: RecordBatch) -> None:
+    from ..logs.schema import RAW_COLUMNS
+
     for name in RAW_COLUMNS:
         column = batch.column(name)
         if not isinstance(column, list):
@@ -172,6 +180,8 @@ def fingerprint_stream(
     chunk digests — and every cache key derived from them — depend only
     on record content, never on the serialization format.
     """
+    from ..logs.columnar import iter_batches
+
     if chunk_records < 1:
         raise PipelineError(
             f"chunk_records must be >= 1, got {chunk_records}"

@@ -1,21 +1,29 @@
 """Reporting: analysis facade, per-experiment drivers, renderers."""
 
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    run_all,
-    run_batch,
-    run_experiment,
-)
-from .figures import render_bar_chart, render_grouped_bars, render_series
-from .scorecard import (
-    available_bots,
-    render_deterrence_scorecard,
-    render_roc_table,
-    render_scorecard,
-)
-from .study import VERSION_DIRECTIVES, StudyAnalysis, analyze
-from .tables import format_cell, render_kv, render_table
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "EXPERIMENTS": ".experiments",
+    "ExperimentResult": ".experiments",
+    "run_all": ".experiments",
+    "run_batch": ".experiments",
+    "run_experiment": ".experiments",
+    "render_bar_chart": ".figures",
+    "render_grouped_bars": ".figures",
+    "render_series": ".figures",
+    "available_bots": ".scorecard",
+    "render_scorecard": ".scorecard",
+    "render_deterrence_scorecard": "..scenarios.report",
+    "render_roc_table": "..scenarios.report",
+    "VERSION_DIRECTIVES": ".study",
+    "StudyAnalysis": ".study",
+    "analyze": ".study",
+    "format_cell": ".tables",
+    "render_kv": ".tables",
+    "render_table": ".tables",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "EXPERIMENTS",

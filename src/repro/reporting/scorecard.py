@@ -140,80 +140,3 @@ def _verdict(results: dict[Directive, object]) -> str:
         "robots.txt provides little protection against this bot; use "
         "enforceable deterrence (rate limits, blocks, tarpits)."
     )
-
-
-# -- scenario-matrix renderers ------------------------------------------
-
-
-def render_deterrence_scorecard(rows) -> str:
-    """Markdown scorecard for a scenario-matrix run: how well each
-    deterrence configuration held against the fleet.
-
-    Args:
-        rows: :class:`~repro.scenarios.results.ScorecardRow` sequence
-            (one per deterrence config, grid order).
-    """
-    from .tables import render_table
-
-    lines = ["# Deterrence scorecard", ""]
-    lines.append(
-        render_table(
-            (
-                "config",
-                "cells",
-                "bot deterred",
-                "adv. deterred",
-                "honest deterred",
-                "noise collateral",
-                "violation leak",
-                "tarpit share",
-            ),
-            [
-                (
-                    row.deterrence,
-                    row.cells,
-                    f"{row.bot_deterred:.1%}",
-                    f"{row.adversarial_deterred:.1%}",
-                    f"{row.honest_deterred:.1%}",
-                    f"{row.noise_collateral:.1%}",
-                    f"{row.violation_leak:.1%}",
-                    f"{row.tarpit_share:.1%}",
-                )
-                for row in rows
-            ],
-        )
-    )
-    lines.append("")
-    lines.append(
-        "`violation leak` is the share of ground-truth robots-disallowed "
-        "requests that were served anyway; `noise collateral` is innocent "
-        "background traffic the chain stopped."
-    )
-    return "\n".join(lines) + "\n"
-
-
-def render_roc_table(table, max_points: int = 12) -> str:
-    """Markdown rendering of one detector's ROC curve.
-
-    Args:
-        table: a :class:`~repro.scenarios.results.RocTable`.
-        max_points: cap on printed operating points (evenly
-            subsampled; the AUC always reflects the full curve).
-    """
-    from .tables import render_table
-
-    points = list(table.points)
-    if len(points) > max_points:
-        step = (len(points) - 1) / (max_points - 1)
-        points = [points[round(i * step)] for i in range(max_points)]
-    lines = [f"## Detector: {table.detector} (AUC {table.auc:.3f})", ""]
-    lines.append(
-        render_table(
-            ("threshold", "TPR", "FPR"),
-            [
-                (f"{p.threshold:.4f}", f"{p.tpr:.1%}", f"{p.fpr:.1%}")
-                for p in points
-            ],
-        )
-    )
-    return "\n".join(lines) + "\n"

@@ -14,36 +14,51 @@ The public surface of this package:
 - :mod:`~repro.robots.corpus` — the paper's four experiment files.
 """
 
-from .builder import RobotsBuilder
-from .cache import DEFAULT_TTL_SECONDS, RobotsCache
-from .compiled import CompiledPolicy, CompiledRule, CompiledRuleSet
-from .corpus import (
-    EXEMPT_SEO_BOTS,
-    RobotsVersion,
-    all_versions,
-    build_version,
-    policy_for_version,
-    render_version,
-)
-from .diff import (
-    AccessChange,
-    AccessDelta,
-    RobotsDiff,
-    diff_policies,
-    diff_robots,
-    render_diff,
-)
-from .fetchstate import (
-    FetchDisposition,
-    RobotsFetchResult,
-    classify_status,
-    resolve_fetch,
-)
-from .matcher import evaluate_rules, pattern_matches, pattern_specificity
-from .model import Group, RobotsFile, Rule, RuleType
-from .parser import DEFAULT_MAX_BYTES, ParserOptions, parse, parse_bytes
-from .policy import AccessDecision, RobotsPolicy
-from .validator import Finding, Severity, is_valid, validate
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "RobotsBuilder": ".builder",
+    "DEFAULT_TTL_SECONDS": ".cache",
+    "RobotsCache": ".cache",
+    "CompiledPolicy": ".compiled",
+    "CompiledRule": ".compiled",
+    "CompiledRuleSet": ".compiled",
+    "EXEMPT_SEO_BOTS": ".corpus",
+    "RobotsVersion": ".corpus",
+    "all_versions": ".corpus",
+    "build_version": ".corpus",
+    "policy_for_version": ".corpus",
+    "render_version": ".corpus",
+    "AccessChange": ".diff",
+    "AccessDelta": ".diff",
+    "RobotsDiff": ".diff",
+    "diff_policies": ".diff",
+    "diff_robots": ".diff",
+    "render_diff": ".diff",
+    "FetchDisposition": ".fetchstate",
+    "RobotsFetchResult": ".fetchstate",
+    "classify_status": ".fetchstate",
+    "resolve_fetch": ".fetchstate",
+    "evaluate_rules": ".matcher",
+    "pattern_matches": ".matcher",
+    "pattern_specificity": ".matcher",
+    "Group": ".model",
+    "RobotsFile": ".model",
+    "Rule": ".model",
+    "RuleType": ".model",
+    "DEFAULT_MAX_BYTES": ".parser",
+    "ParserOptions": ".parser",
+    "parse": ".parser",
+    "parse_bytes": ".parser",
+    "AccessDecision": ".policy",
+    "RobotsPolicy": ".policy",
+    "Finding": ".validator",
+    "Severity": ".validator",
+    "is_valid": ".validator",
+    "validate": ".validator",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AccessChange",

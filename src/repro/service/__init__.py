@@ -8,18 +8,25 @@ HTTP/1.1 server.  ``repro-study serve`` is the CLI entry point;
 its throughput and tail latency in CI.
 """
 
-from .core import (
-    DecisionService,
-    EndpointCounter,
-    PolicyProvider,
-    ProviderStats,
-    Resolver,
-    corpus_resolver,
-    directory_resolver,
-    static_resolver,
-)
-from .http import DecisionHTTPServer, ServiceProtocol, serve
-from .router import ServiceRouter, encode
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "DecisionService": ".core",
+    "EndpointCounter": ".core",
+    "PolicyProvider": ".core",
+    "ProviderStats": ".core",
+    "Resolver": ".core",
+    "corpus_resolver": ".core",
+    "directory_resolver": ".core",
+    "static_resolver": ".core",
+    "DecisionHTTPServer": ".http",
+    "ServiceProtocol": ".http",
+    "serve": ".http",
+    "ServiceRouter": ".router",
+    "encode": ".router",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "DecisionHTTPServer",

@@ -9,8 +9,17 @@ Public surface:
   taxonomy used throughout the paper.
 """
 
-from .categories import BotCategory, RobotsPromise
-from .registry import BotRecord, BotRegistry, default_registry
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "BotCategory": ".categories",
+    "RobotsPromise": ".categories",
+    "BotRecord": ".registry",
+    "BotRegistry": ".registry",
+    "default_registry": ".registry",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BotCategory",

@@ -60,6 +60,16 @@ LAZY_PACKAGES = [
     "repro.web",
     "repro.bots",
     "repro.scenarios",
+    "repro.pipeline",
+    "repro.logs",
+    "repro.analysis",
+    "repro.robots",
+    "repro.reporting",
+    "repro.uaparse",
+    "repro.asn",
+    "repro.deterrence",
+    "repro.service",
+    "repro.distributed",
 ]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.choices import EXPERIMENT_IDS
 from repro.reporting.experiments import EXPERIMENTS, run_experiment
 from repro.reporting.figures import (
     render_bar_chart,
@@ -84,6 +85,11 @@ class TestExperimentRegistry:
             "F2", "F3", "F4", "F9", "F10", "F11",
         }
         assert set(EXPERIMENTS) == expected
+
+    def test_cli_ids_are_the_registry_in_order(self):
+        """argparse offers ``EXPERIMENT_IDS`` without importing the
+        drivers; they must name exactly the registry, in print order."""
+        assert tuple(EXPERIMENTS) == EXPERIMENT_IDS
 
     def test_unknown_experiment_raises(self, quick_analysis):
         with pytest.raises(KeyError, match="unknown experiment"):
