@@ -206,7 +206,8 @@ def run_commands(tmp: Path) -> None:
     cli("analyze", log, "--cache-dir", cache)
     cli("analyze", log, "--cache-dir", cache)
     cli("analyze", log, "--cache-dir", cache, "--no-cache", "--experiments", "T5")
-    cli("analyze", log, "--jobs", 2, "--executor", "inline", "--experiments", "T2")
+    cli("analyze", log, "--jobs", 2, "--executor", "inline", "--experiments", "T2",
+        "--cache-dir", tmp / "shard-cache")
     cli("analyze", log, "--jobs", 2, "--executor", "process", "--experiments", "T2")
     cli("convert", log, csv, "--to", "csv")
     cli("convert", log, clf, "--to", "clf")

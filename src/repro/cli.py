@@ -10,8 +10,7 @@ Subcommands:
     and print selected tables/figures.
 ``convert``
     Stream-convert a log between formats (jsonl/csv/clf/parquet) with
-    bounded memory; the converted corpus fingerprints identically, so
-    it hits the same cached artifacts.
+    bounded memory; the converted corpus analyzes to the same output.
 ``report``
     Simulate + analyze in one step and print every artifact.
 ``robots``
@@ -50,12 +49,12 @@ Subcommands:
     the deterrence scorecard and detector ROC tables.
 
 Incremental analysis: ``analyze``/``report`` accept ``--cache-dir`` to
-persist stage artifacts between runs.  Cached artifacts are keyed by a
-content fingerprint of the input log (hashed in chunks, so appended
-records only invalidate trailing chunks), each stage's code token, and
-the transitive fingerprints of its dependencies; re-running over an
-unchanged log loads every artifact from disk, and appending records
-reruns only the affected shard plus downstream stages.  ``--no-cache``
+persist stage artifacts between runs.  Cached artifacts are keyed by the
+SHA-256 of the input log's bytes (plus its format and CLF site/ASN),
+each stage's code token, and the transitive fingerprints of its
+dependencies; re-running over an unchanged log hashes it, parses no
+row and loads every artifact from disk, and appending records reruns
+only the affected shards plus downstream stages.  ``--no-cache``
 skips cache reads but still publishes fresh artifacts (a refresh).
 
 Each handler imports the modules it runs, so ``import repro.cli``

@@ -10,11 +10,12 @@ columns, with the layout derived from
 :data:`repro.logs.schema.COLUMN_SPECS`.
 
 Log IO moves row streams (:mod:`repro.logs.io`); batches appear only
-where the pipeline works column-wise.  The source fingerprint
-(:func:`repro.pipeline.store.fingerprint_stream`) packs rows into
-fixed-size batches and hashes each raw column in one call, and the
-shard partitioner (:func:`repro.pipeline.shard.partition_batches`)
-gathers batches by key column into batch-backed shards.  The Parquet
+where the pipeline works column-wise.  The row hash of an in-memory
+source (:func:`repro.pipeline.store.fingerprint_rows`) and a shard's
+content key (:func:`repro.pipeline.store.fingerprint_batch`) hash each
+raw column of a batch in one call, and the shard partitioner
+(:func:`repro.pipeline.shard.partition_batches`) gathers batches by
+key column into batch-backed shards.  The Parquet
 codec (:mod:`repro.logs.parquet`) uses them internally as row groups.
 The analysis reducers fold row objects.  Rows that cross a process
 or cache boundary travel as a :class:`RecordList`: a plain row list in

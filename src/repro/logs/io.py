@@ -11,7 +11,7 @@ Each format has a row reader (``read_*``) and a row writer
 (``write_*``); :func:`iter_log_records` and :func:`write_log` dispatch
 on a format name, and :func:`convert_log` chains the two.  Column
 batches are not an IO unit: they exist only where the pipeline hashes
-(source fingerprints) or gathers (shard partitioning) by column.
+(row and shard hashes) or gathers (shard partitioning) by column.
 """
 
 from __future__ import annotations
@@ -239,9 +239,8 @@ def convert_log(
 
     Memory stays bounded at one row (one row group for Parquet)
     regardless of corpus size, and because values are normalized
-    identically on every read path, the converted corpus carries the
-    same content fingerprint as the original (format-independent cache
-    keys).
+    identically on every read path, the converted corpus reads back as
+    the same rows as the original.
 
     The output is written to a temporary file beside ``target`` and
     moved into place only once the whole source has converted, so a

@@ -108,8 +108,7 @@ def read_parquet(
     Values are normalized to the row schema's conventions — empty
     strings in nullable columns become ``None``, exactly as
     :meth:`LogRecord.from_dict` would — so a corpus read from Parquet
-    is indistinguishable (and fingerprints identically) to the same
-    corpus read from JSONL or CSV.
+    is indistinguishable from the same corpus read from JSONL or CSV.
     """
     require_pyarrow()
     parquet_file = _pq.ParquetFile(str(path))

@@ -131,8 +131,8 @@ class LogRecord:
 #
 # One declaration of the schema's columns, shared by every consumer:
 # CSV headers, the columnar RecordBatch layout, the Parquet codec, and
-# the store's raw-column fingerprints all derive from COLUMN_SPECS, so
-# adding a column is a one-line change here.
+# the store's raw-column row and shard hashes all derive from
+# COLUMN_SPECS, so adding a column is a one-line change here.
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class ColumnSpec:
         kind: physical type — ``"str"`` (non-null string), ``"f64"``
             (float), ``"i64"`` (integer), ``"str?"`` (nullable string).
         enrichment: filled by preprocessing rather than ingestion;
-            excluded from source fingerprints (see
+            excluded from row and shard hashes (see
             :mod:`repro.pipeline.store`).
     """
 
@@ -177,7 +177,7 @@ COLUMN_SPECS: tuple[ColumnSpec, ...] = (
 CSV_COLUMNS: tuple[str, ...] = tuple(spec.name for spec in COLUMN_SPECS)
 
 #: The paper's raw §3.1 columns — everything preprocessing does *not*
-#: fill in.  Source fingerprints cover exactly these (enrichment is
+#: fill in.  Row and shard hashes cover exactly these (enrichment is
 #: deterministic given them and keyed by stage code tokens instead).
 RAW_COLUMNS: tuple[str, ...] = tuple(
     spec.name for spec in COLUMN_SPECS if not spec.enrichment

@@ -30,13 +30,13 @@ the contract:
 
 **Record source** (:class:`~repro.pipeline.context.RecordSource`)
     One row source, parsed at most once per run: the first pass that
-    needs every row (the fingerprint, sequential preprocessing) keeps
-    the rows of an ``iter_log_records(path, format)`` factory, and
-    later passes replay them; an in-memory list is replayed as-is.
-    A run with no store and ``jobs > 1`` streams the factory once
-    through the shard partitioner without holding it.  Column batches
-    appear only where the pipeline hashes or gathers by column: the
-    source fingerprint and the shard partitioner.
+    needs every row (sequential preprocessing) keeps the rows of an
+    ``iter_log_records(path, format)`` factory, and later passes
+    replay them; an in-memory list is replayed as-is.  A ``jobs > 1``
+    run streams the factory once through the shard partitioner
+    without holding it.  Column batches appear only where the
+    pipeline hashes or gathers by column: row and shard hashes and
+    the shard partitioner.
 
 **Study stages** (:mod:`repro.pipeline.stages`)
     The paper's §4 chain as a prebuilt DAG
@@ -46,16 +46,15 @@ the contract:
 
 **Incremental caching** (:mod:`repro.pipeline.store`)
     A content-addressed on-disk :class:`ArtifactStore`.  Stage keys
-    combine a streaming, chunked source fingerprint, each stage's
-    declared code token, and the transitive fingerprints of its
-    dependencies; shard-stage worker outputs are additionally cached
-    per shard by content, so appending records to a log reruns only
-    the affected shard plus the stages downstream of it.  A log file
-    source (:meth:`RecordSource.from_file`) memoizes its fingerprint
-    in the store under the SHA-256 of the file's raw bytes, so a warm
-    run over an unchanged log parses no row.  The cached == cold
-    byte-parity guarantee is property-tested alongside the sharded ==
-    sequential one.
+    combine the source fingerprint, each stage's declared code token,
+    and the transitive fingerprints of its dependencies; shard-stage
+    worker outputs are additionally cached per shard by content, so
+    appending records to a log reruns only the affected shard plus
+    the stages downstream of it.  A log file source
+    (:meth:`RecordSource.from_file`) is fingerprinted by the SHA-256 of
+    the file's raw bytes, so a warm run over an unchanged log parses
+    no row.  The cached == cold byte-parity guarantee is
+    property-tested alongside the sharded == sequential one.
 
 Quickstart::
 
@@ -95,10 +94,7 @@ _EXPORTS = {
     "ArtifactStore": ".store",
     "CacheStats": ".store",
     "PruneResult": ".store",
-    "SourceFingerprint": ".store",
     "StoreInfo": ".store",
-    "fingerprint_batch": ".store",
-    "fingerprint_stream": ".store",
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
@@ -115,13 +111,10 @@ __all__ = [
     "Shard",
     "ShardStage",
     "SiteTraffic",
-    "SourceFingerprint",
     "Stage",
     "StoreInfo",
     "VERSION_DIRECTIVES",
     "build_study_pipeline",
-    "fingerprint_batch",
-    "fingerprint_stream",
     "partition_batches",
     "restore_order",
     "run_sharded",

@@ -12,14 +12,13 @@ Three small objects shared by every stage of a pipeline run:
 :class:`RecordSource`
     A row source parsed at most once per run: one zero-argument
     callable returning an iterable of records.  The first pass that
-    needs every row (the fingerprint, sequential preprocessing) holds
-    them via :meth:`RecordSource.rows`, and later passes replay that
-    list; a list source is replayed as-is.  A pass that comes first
-    and only streams (the no-store shard partitioner) reads the
-    factory without holding it.  A file source
-    (:meth:`RecordSource.from_file`) memoizes its fingerprint in the
-    artifact store, keyed by the file's raw bytes, so a warm run never
-    parses it.
+    needs every row (sequential preprocessing, a row hash) holds them
+    via :meth:`RecordSource.rows`, and later passes replay that list;
+    a list source is replayed as-is.  A pass that comes first and only
+    streams (the shard partitioner) reads the factory without holding
+    it.  A file source (:meth:`RecordSource.from_file`) keys its cached
+    artifacts on the file's raw bytes, so a warm run hashes the file
+    and never parses it.
 
 :class:`PipelineContext`
     The artifact store stages read from and the runner writes to, plus
@@ -39,23 +38,17 @@ from ..logs.io import iter_log_records
 from ..logs.schema import LogRecord
 from .store import (
     CACHE_SCHEMA,
-    DEFAULT_CHUNK_RECORDS,
     ArtifactStore,
     CacheStats,
-    SourceFingerprint,
     digest_parts,
     file_sha256,
-    fingerprint_stream,
+    fingerprint_rows,
 )
 
-#: Version of the bytes -> rows mapping of the log readers.  It keys the
-#: source-fingerprint memo, so bump it whenever a reader change can
-#: turn the same file into different rows.
+#: Version of the bytes -> rows mapping of the log readers.  It keys
+#: every file source, so bump it whenever a reader change can turn the
+#: same file into different rows.
 READER_TOKEN = "1"
-
-#: Pseudo-stage that tags source-fingerprint memo entries in the store
-#: (what ``cache info --verbose`` lists them under).
-SOURCE_MEMO_STAGE = "source-fingerprint"
 
 
 @dataclass(frozen=True)
@@ -126,8 +119,8 @@ class RecordSource:
     - any other iterable (consumed once into a list immediately, since
       a bare iterator cannot be replayed).
 
-    A log file is best wrapped with :meth:`from_file`, whose fingerprint
-    can be memoized in an artifact store.
+    A log file is best wrapped with :meth:`from_file`, whose
+    fingerprint is a hash of the file's bytes, taken without parsing.
     """
 
     __slots__ = ("_factory", "_rows", "_fingerprint", "_path", "_reader_args", "_raw")
@@ -135,11 +128,11 @@ class RecordSource:
     def __init__(self, factory: Callable[[], Iterable[LogRecord]]) -> None:
         self._factory = factory
         self._rows: list[LogRecord] | None = None
-        self._fingerprint: SourceFingerprint | None = None
+        self._fingerprint: str | None = None
         self._path: Path | None = None
         self._reader_args: tuple[str, ...] = ()
-        # Raw SHA-256 of the file bytes a memo hit answered for: a
-        # later parse must read those same bytes (see _check_unchanged).
+        # Raw SHA-256 of the file bytes the fingerprint was taken from:
+        # a later parse must read those same bytes (see _check_unchanged).
         self._raw: str | None = None
 
     @classmethod
@@ -153,7 +146,7 @@ class RecordSource:
         """A source over one log file, parsed on its first full pass.
 
         The arguments are :func:`~repro.logs.io.iter_log_records`'s;
-        they also key the fingerprint memo (see :meth:`fingerprint`).
+        they also key the source (see :meth:`fingerprint`).
         """
         source = cls(
             lambda: iter_log_records(path, format, sitename=sitename, asn=asn)
@@ -200,10 +193,10 @@ class RecordSource:
         self._check_unchanged()
 
     def _check_unchanged(self) -> None:
-        """Refuse rows parsed after a memo hit from different bytes.
+        """Refuse rows parsed from bytes other than the hashed ones.
 
-        The stage keys of this run derive from the memoized fingerprint
-        of the bytes hashed at lookup time; rows read from a file that
+        The stage keys of this run derive from the file's bytes as
+        hashed by :meth:`fingerprint`; rows read from a file that
         changed since would be published under those keys.
         """
         if self._raw is not None and file_sha256(self._path) != self._raw:
@@ -219,53 +212,35 @@ class RecordSource:
         partial), packed on the fly: at most one batch is live."""
         return iter_batches(self.stream(), size)
 
-    def fingerprint(self, store: ArtifactStore | None = None) -> SourceFingerprint:
-        """Chunked content identity of this source (computed once).
+    def fingerprint(self) -> str:
+        """Content identity of this source (computed once).
 
-        The fingerprint hashes raw column chunks, so it is independent
-        of the serialization format: a JSONL, CSV or Parquet reader
-        over the same records produces identical digests and hits the
-        same cached artifacts.  Cached per instance, and computed over
-        :meth:`rows`, so it describes exactly the rows the stages see;
-        re-reading a grown log file means constructing a fresh source
-        (the CLI does this on every invocation).
+        A :meth:`from_file` source whose rows are not yet parsed hashes
+        the file's raw bytes, plus the format, CLF site/ASN,
+        :data:`READER_TOKEN` and :data:`CACHE_SCHEMA`, and parses
+        nothing: an unchanged file keys the same artifacts and a
+        changed byte misses.  Every later parse re-hashes the file and
+        raises :class:`PipelineError` if the bytes changed, so no run
+        publishes rows under the key of other bytes.
 
-        With a ``store``, a :meth:`from_file` source first hashes the
-        file's raw bytes and looks the fingerprint up in the store
-        under that hash (plus format, CLF site/ASN and
-        :data:`READER_TOKEN`), so an unchanged file is never parsed.  A
-        miss parses the file into :meth:`rows` and publishes the memo,
-        unless the file's bytes changed during the parse.  After a hit,
-        the first parse of the file (should a stage need the rows)
-        re-hashes it and raises :class:`PipelineError` if the bytes
-        changed.  Rows already parsed are fingerprinted directly.
+        Any other source (a list, a callable, a file parsed before its
+        key was asked for) hashes the raw columns of :meth:`rows` in
+        one pass (:func:`~repro.pipeline.store.fingerprint_rows`), so
+        it describes exactly the rows the stages see.
         """
         if self._fingerprint is None:
-            if store is None or self._path is None or self._rows is not None:
-                self._fingerprint = fingerprint_stream(self.rows())
+            if self._path is None or self._rows is not None:
+                self._fingerprint = fingerprint_rows(self.rows())
             else:
-                self._fingerprint = self._memoized(self._path, store)
+                self._raw = file_sha256(self._path)
+                self._fingerprint = digest_parts(
+                    "source",
+                    CACHE_SCHEMA,
+                    READER_TOKEN,
+                    *self._reader_args,
+                    self._raw,
+                )
         return self._fingerprint
-
-    def _memoized(self, path: Path, store: ArtifactStore) -> SourceFingerprint:
-        raw = file_sha256(path)
-        key = digest_parts(
-            "source",
-            CACHE_SCHEMA,
-            READER_TOKEN,
-            *self._reader_args,
-            str(DEFAULT_CHUNK_RECORDS),
-            raw,
-        )
-        status, memo = store.load(key)
-        if status == "hit":
-            self._raw = raw
-            return memo  # type: ignore[return-value]
-        fingerprint = fingerprint_stream(self.rows())
-        # A file edited mid-parse must not map these bytes to those rows.
-        if file_sha256(path) == raw:
-            store.store(key, fingerprint, stage=SOURCE_MEMO_STAGE)
-        return fingerprint
 
 
 @dataclass

@@ -30,9 +30,8 @@ an appended log reruns only the shards that actually received records;
 untouched shards load from the store and only the merge (plus the
 stages downstream of the changed data) recomputes.  Hits, misses and
 invalidations are tallied in ``context.stats``.  A file-backed source
-memoizes its fingerprint in the same store, keyed by the file's raw
-bytes, so a warm run over an unchanged log hashes it and parses none
-of it.
+is fingerprinted by the file's raw bytes, so a warm run over an
+unchanged log hashes it and parses none of it.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ class Pipeline:
         source = self.context.source
         if source is None:
             return ""
-        return source.fingerprint(self.context.store).digest
+        return source.fingerprint()
 
     def _stage_fingerprint(self, name: str) -> str:
         """Transitive cache key for one stage (memoized).

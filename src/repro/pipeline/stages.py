@@ -107,8 +107,8 @@ def _preprocess_sequential(
     """Single-process preprocessing over the source's one parse.
 
     The scanner screen and enrichment share :meth:`RecordSource.rows`,
-    the list the fingerprint already read (or a list source's own
-    records), whose objects are enriched in place.
+    the source's one parse (or a list source's own records), whose
+    objects are enriched in place.
     """
     pre = preprocessor if preprocessor is not None else Preprocessor()
     source = context.source

@@ -6,9 +6,11 @@ every stage from scratch on each run.  This module makes re-analysis
 incremental by persisting stage artifacts on disk under keys derived
 from *what produced them*:
 
-- a **streaming source fingerprint** — the record stream is hashed in
-  fixed-size chunks, so appending records only changes the trailing
-  chunk digests while the shared prefix stays stable;
+- a **source key** — a log file
+  (:meth:`~repro.pipeline.context.RecordSource.from_file`) keys on the
+  SHA-256 of its raw bytes, so a warm run hashes the file and parses
+  no row, and any byte change misses; rows already in memory key on
+  one hash of their raw columns (:func:`fingerprint_rows`);
 - a per-shard **content fingerprint** — shard map outputs
   (:class:`~repro.pipeline.stage.ShardStage` workers) are cached keyed
   by the hash of the shard's own records, so appending records to one
@@ -16,11 +18,6 @@ from *what produced them*:
 - each stage's declared **code/version token** plus the transitive
   fingerprints of its dependencies, Bazel-style, so editing a stage (or
   anything upstream of it) invalidates exactly the downstream cone.
-
-The source fingerprint of a log file is itself memoized here, keyed by
-the SHA-256 of the file's raw bytes (see
-:meth:`~repro.pipeline.context.RecordSource.fingerprint`): a warm run
-hashes the file instead of parsing it, and any byte change misses.
 
 The on-disk format is deliberately boring: one file per artifact under
 ``objects/``, written to a temporary name and atomically published with
@@ -57,14 +54,9 @@ if TYPE_CHECKING:
 
 #: Bump to invalidate every cached artifact (on-disk format changes,
 #: cross-cutting semantic fixes).  Stage-local changes should bump the
-#: stage's own ``token`` instead.  "2": columnar chunk fingerprints +
-#: stage-tagged artifact headers.
-CACHE_SCHEMA = "2"
-
-#: Records per fingerprint chunk.  Appending records perturbs only the
-#: final (partial) chunk and anything after it; all full chunks before
-#: the append point keep their digests.
-DEFAULT_CHUNK_RECORDS = 2048
+#: stage's own ``token`` instead.  "3": a log file keys on its raw
+#: bytes, in-memory rows on one hash of their raw columns.
+CACHE_SCHEMA = "3"
 
 #: Artifact file header; the version suffix guards the binary layout.
 #: v2 adds a stage-name line so ``cache info --verbose`` can attribute
@@ -116,7 +108,7 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
         raise
 
 
-# Fingerprints cover exactly the paper's raw §3.1 columns
+# Row hashes cover exactly the paper's raw §3.1 columns
 # (schema.RAW_COLUMNS).  Enrichment columns (``bot_name``,
 # ``bot_category``, ``asn_name``) are deliberately excluded:
 # preprocessing fills them *in place*, so including them would shift a
@@ -125,15 +117,12 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
 # given the raw columns, and its code version is keyed separately via
 # the preprocess stage token.
 #
-# Hashing is *columnar*: each chunk contributes one JSON array per raw
+# Hashing is *columnar*: each batch contributes one JSON array per raw
 # column (straight off a RecordBatch's containers — one dumps call per
-# column instead of one per record), so the digest depends only on
-# column values, never on the serialization format the corpus came
-# from.  JSONL, CSV and Parquet encodings of the same records hit the
-# same cache entries.
+# column instead of one per record).
 #
-# The log modules are imported where a fingerprint is taken, so code
-# that only keys or stores artifacts (the scenario grid) loads none.
+# The log modules are imported where a hash is taken, so code that
+# only keys or stores artifacts (the scenario grid) loads none.
 
 
 def _update_chunk_digest(digest, batch: RecordBatch) -> None:
@@ -154,49 +143,20 @@ def fingerprint_batch(batch: RecordBatch) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class SourceFingerprint:
-    """Chunked identity of one record stream.
+def fingerprint_rows(records: Iterable[LogRecord]) -> str:
+    """Content hash of a row stream's raw columns, in one pass.
 
-    Attributes:
-        chunks: per-chunk SHA-256 digests, in stream order.
-        digest: fingerprint of the whole stream (hash of the chunk
-            digests), the value stage keys incorporate.
-        records: total record count (cheap sanity signal for ``info``).
+    Rows are packed into batches of
+    :data:`~repro.logs.columnar.DEFAULT_BATCH_RECORDS` (the last one
+    partial), each fed into one running digest, so at most one batch
+    is live.
     """
+    from ..logs.columnar import DEFAULT_BATCH_RECORDS, iter_batches
 
-    chunks: tuple[str, ...]
-    digest: str
-    records: int
-
-
-def fingerprint_stream(
-    records: Iterable[LogRecord], chunk_records: int = DEFAULT_CHUNK_RECORDS
-) -> SourceFingerprint:
-    """Fingerprint a row stream in one pass.
-
-    Rows are packed into batches of exactly ``chunk_records`` rows (the
-    last one partial) and each batch's raw columns are hashed, so the
-    chunk digests — and every cache key derived from them — depend only
-    on record content, never on the serialization format.
-    """
-    from ..logs.columnar import iter_batches
-
-    if chunk_records < 1:
-        raise PipelineError(
-            f"chunk_records must be >= 1, got {chunk_records}"
-        )
-    chunks: list[str] = []
-    total = 0
-    for chunk in iter_batches(records, chunk_records):
-        chunks.append(fingerprint_batch(chunk))
-        total += len(chunk)
-    overall = hashlib.sha256()
-    for piece in chunks:
-        overall.update(piece.encode("ascii"))
-    return SourceFingerprint(
-        chunks=tuple(chunks), digest=overall.hexdigest(), records=total
-    )
+    digest = hashlib.sha256()
+    for batch in iter_batches(records, DEFAULT_BATCH_RECORDS):
+        _update_chunk_digest(digest, batch)
+    return digest.hexdigest()
 
 
 def stable_token(value: object) -> str:

@@ -67,24 +67,15 @@ class StudyDataset:
         """This dataset as a zero-copy pipeline record source.
 
         Memoized: repeated calls return the same
-        :class:`~repro.pipeline.context.RecordSource`, so the cache
-        fingerprint is computed once even when several analyses (or
-        ``run_batch`` studies) share one dataset.
+        :class:`~repro.pipeline.context.RecordSource`, so the rows' cache
+        key is hashed once even when several analyses (or ``run_batch``
+        studies) share one dataset.
         """
         from ..pipeline.context import RecordSource
 
         if self._source is None:
             self._source = RecordSource.of(self.records)
         return self._source
-
-    def fingerprint(self) -> str:
-        """Chunked content identity of the dataset's record stream.
-
-        The digest that keys this dataset's cached pipeline artifacts;
-        two datasets with identical column values share it — including
-        across serialization formats (JSONL/CSV/Parquet round-trips).
-        """
-        return self.source().fingerprint().digest
 
     def __len__(self) -> int:
         return len(self.records)

@@ -10,7 +10,6 @@ from repro.cli import main
 from repro.logs import io as log_io
 from repro.logs.io import write_jsonl
 from repro.pipeline import ArtifactStore, RecordSource
-from repro.pipeline.context import SOURCE_MEMO_STAGE
 from repro.reporting.study import StudyAnalysis
 from repro.robots.corpus import RobotsVersion
 from repro.simulation import SimulationEngine, quick_scenario
@@ -177,6 +176,9 @@ class TestParseCounts:
     def test_log_grown_after_a_memo_hit_is_one_error_line(
         self, small_log, tmp_path, capsys, monkeypatch
     ):
+        """With ``preprocess`` pruned, a log that grows while the run
+        parses it ends the run with one error line and publishes
+        nothing: its keys came from the bytes hashed before the parse."""
         log = tmp_path / "study.jsonl"
         log.write_bytes(small_log.read_bytes())
         cache = tmp_path / "c"
@@ -185,8 +187,9 @@ class TestParseCounts:
         capsys.readouterr()
         store = ArtifactStore(cache)
         for path in store._object_files():
-            if store._stage_of(path) != SOURCE_MEMO_STAGE:
+            if store._stage_of(path) == "preprocess":
                 path.unlink()
+        pruned = store._object_files()
         tail = log.read_bytes().splitlines(keepends=True)[:5]
         reader = log_io.read_jsonl
 
@@ -203,9 +206,7 @@ class TestParseCounts:
             f"error: log file {log} changed while it was being analyzed; "
             "nothing was cached from it, rerun the command"
         ]
-        assert {store._stage_of(path) for path in store._object_files()} == {
-            SOURCE_MEMO_STAGE
-        }
+        assert store._object_files() == pruned
 
     def test_warm_facade_recomputes_slices_from_cached_preprocess(
         self, small_log, tmp_path, rows_read
@@ -306,7 +307,6 @@ class TestCacheSubcommand:
         assert stage_lines
         stages = {name for name, _, _ in stage_lines}
         assert "preprocess" in stages
-        assert "source-fingerprint" in stages  # the log's fingerprint memo
         total = int(re.search(r"bytes: ([\d,]+)", out).group(1).replace(",", ""))
         attributed = sum(
             int(size.replace(",", "")) for _, _, size in stage_lines
@@ -376,7 +376,6 @@ class TestCacheSubcommand:
             == 0
         )
         capsys.readouterr()
-        # The fingerprint memo is evicted with everything else.
         assert main(["cache", "info", "--cache-dir", str(cache)]) == 0
         assert "entries: 0" in capsys.readouterr().out
         # Everything misses, recomputes, and republishes.

@@ -1,12 +1,11 @@
 """Columnar == row parity where the pipeline works column-wise.
 
-The pipeline packs rows into column batches in exactly two places: the
-shard partitioner and the source fingerprint.  The partitioner must
-assign every row exactly where a per-row crc32 would, and the
-fingerprint must depend only on record content, never on the
-serialization format (a JSONL corpus and its CSV/Parquet conversion
-hit the same cache entries).  Sharded == sequential artifact parity
-lives in ``tests/test_pipeline_parity.py``.
+The pipeline packs rows into column batches where it partitions shards
+and where it hashes rows.  The partitioner must assign every row
+exactly where a per-row crc32 would; the source keys are pinned to
+golden digests; and a JSONL corpus and its CSV/Parquet conversion
+must analyze to the same artifacts.  Sharded == sequential artifact
+parity lives in ``tests/test_pipeline_parity.py``.
 
 Also home to the strict order-restoring merge's regression tests: a
 merge that silently drops or duplicates records must raise
@@ -15,7 +14,6 @@ a smaller study.
 """
 
 import pickle
-import tempfile
 import zlib
 
 import pytest
@@ -25,7 +23,7 @@ from hypothesis import strategies as st
 from repro.bots.profiles import build_profiles
 from repro.exceptions import PipelineError
 from repro.logs.columnar import iter_batches
-from repro.logs.io import convert_log, iter_log_records, write_jsonl
+from repro.logs.io import convert_log, write_jsonl
 from repro.logs.parquet import HAVE_PYARROW
 from repro.logs.schema import LogRecord
 from repro.pipeline import (
@@ -150,101 +148,57 @@ def test_batch_partitioner_matches_row_partitioner(records, shards):
         ]
 
 
-# -- format-independent fingerprints --------------------------------------
+# -- the same artifacts from every format ---------------------------------
 
 
-class TestFormatIndependentFingerprints:
-    def _records(self, count=40):
-        return [
-            _record(
-                (
-                    SITES[i % len(SITES)],
-                    USER_AGENTS[i % len(USER_AGENTS)],
-                    f"ip-{i % 5}",
-                    8075,
-                    PATHS[i % len(PATHS)],
-                    i * 13,
-                )
+@pytest.mark.parametrize(
+    "fmt",
+    [
+        "csv",
+        pytest.param(
+            "parquet",
+            marks=pytest.mark.skipif(
+                not HAVE_PYARROW, reason="pyarrow not installed"
+            ),
+        ),
+    ],
+)
+def test_converted_corpus_analyzes_like_jsonl(tmp_path, fmt):
+    records = [
+        _record(
+            (
+                SITES[i % len(SITES)],
+                USER_AGENTS[i % len(USER_AGENTS)],
+                f"ip-{i % 5}",
+                8075,
+                PATHS[i % len(PATHS)],
+                i * 13,
             )
-            for i in range(count)
-        ]
-
-    def test_jsonl_and_csv_sources_share_a_fingerprint(self, tmp_path):
-        records = self._records()
-        jsonl = tmp_path / "log.jsonl"
-        csv_path = tmp_path / "log.csv"
-        write_jsonl(records, jsonl)
-        convert_log(jsonl, csv_path, "jsonl", "csv")
-        from_jsonl = RecordSource.of(
-            lambda: iter_log_records(jsonl, "jsonl")
-        ).fingerprint()
-        from_csv = RecordSource.of(
-            lambda: iter_log_records(csv_path, "csv")
-        ).fingerprint()
-        assert from_csv == from_jsonl
-
-    def test_csv_corpus_hits_jsonl_cache_artifacts(self, tmp_path):
-        records = self._records()
-        jsonl = tmp_path / "log.jsonl"
-        csv_path = tmp_path / "log.csv"
-        write_jsonl(records, jsonl)
-        convert_log(jsonl, csv_path, "jsonl", "csv")
-        with tempfile.TemporaryDirectory() as cache_dir:
-            cold = build_study_pipeline(
-                source=lambda: iter_log_records(jsonl, "jsonl"),
-                scenario=SCENARIO,
-                cache_dir=cache_dir,
-            )
-            cold.run()
-            assert cold.context.stats.misses > 0
-
-            warm = build_study_pipeline(
-                source=lambda: iter_log_records(csv_path, "csv"),
-                scenario=SCENARIO,
-                cache_dir=cache_dir,
-            )
-            warm.run()
-            assert warm.context.stats.misses == 0
-            assert warm.context.stats.hits > 0
-            for name in COMPARED_ARTIFACTS:
-                assert _artifact_bytes(warm, name) == _artifact_bytes(
-                    cold, name
-                ), name
-
-    @pytest.mark.skipif(not HAVE_PYARROW, reason="pyarrow not installed")
-    def test_parquet_corpus_hits_jsonl_cache_artifacts(self, tmp_path):
-        records = self._records()
-        jsonl = tmp_path / "log.jsonl"
-        parquet = tmp_path / "log.parquet"
-        write_jsonl(records, jsonl)
-        convert_log(jsonl, parquet, "jsonl", "parquet")
-        assert RecordSource.of(
-            lambda: iter_log_records(parquet, "parquet")
-        ).fingerprint() == RecordSource.of(
-            lambda: iter_log_records(jsonl, "jsonl")
-        ).fingerprint()
-        with tempfile.TemporaryDirectory() as cache_dir:
-            cold = build_study_pipeline(
-                source=lambda: iter_log_records(jsonl, "jsonl"),
-                scenario=SCENARIO,
-                cache_dir=cache_dir,
-            )
-            cold.run()
-            warm = build_study_pipeline(
-                source=lambda: iter_log_records(parquet, "parquet"),
-                scenario=SCENARIO,
-                cache_dir=cache_dir,
-            )
-            warm.run()
-            assert warm.context.stats.misses == 0
+        )
+        for i in range(40)
+    ]
+    jsonl = tmp_path / "log.jsonl"
+    converted = tmp_path / f"log.{fmt}"
+    write_jsonl(records, jsonl)
+    convert_log(jsonl, converted, "jsonl", fmt)
+    original = build_study_pipeline(
+        source=RecordSource.from_file(jsonl), scenario=SCENARIO
+    )
+    other = build_study_pipeline(
+        source=RecordSource.from_file(converted, fmt), scenario=SCENARIO
+    )
+    for name in COMPARED_ARTIFACTS:
+        assert _artifact_bytes(other, name) == _artifact_bytes(
+            original, name
+        ), name
 
 
-# -- golden source fingerprint ---------------------------------------------
+# -- golden source keys ------------------------------------------------------
 #
-# The digest every cache key starts from, pinned to a literal: a change
-# that moves it for every format at once (and so passes the
-# format-independence tests above) still fails here.  Moving it on
-# purpose means bumping CACHE_SCHEMA and this constant together.
+# The digests every cache key starts from, pinned to literals: a JSONL
+# file keys on its bytes, an in-memory list on one hash of its rows'
+# raw columns.  Moving either on purpose means bumping CACHE_SCHEMA and
+# these constants together.
 
 GOLDEN_RECORDS = (
     LogRecord(
@@ -272,37 +226,23 @@ GOLDEN_RECORDS = (
     ),
 )
 
-GOLDEN_DIGEST = "6f74903b9ece135071c7c92f615f1cfe301b2e6b31a25a57f4ba8b6c949645b4"
+GOLDEN_KEYS = {
+    "list": "d51d81151f4d5cc5e872c801c99abd2e15f38bea9bd3c85a61e1ce83f31b9d83",
+    "jsonl": "cb63b2c0b0c792d62bb01af7648587e1e815aa8377363de658c5db03be1a348d",
+}
 
 
-@pytest.mark.parametrize(
-    "fmt",
-    [
-        "list",
-        "jsonl",
-        "csv",
-        pytest.param(
-            "parquet",
-            marks=pytest.mark.skipif(
-                not HAVE_PYARROW, reason="pyarrow not installed"
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_KEYS))
 def test_golden_source_fingerprint(tmp_path, fmt):
     records = [pickle.loads(pickle.dumps(r)) for r in GOLDEN_RECORDS]
     if fmt == "list":
         source = RecordSource.of(records)
     else:
-        jsonl = tmp_path / "golden.jsonl"
-        write_jsonl(records, jsonl)
-        path = tmp_path / f"golden.{fmt}"
-        if fmt != "jsonl":
-            convert_log(jsonl, path, "jsonl", fmt)
-        source = RecordSource.of(lambda: iter_log_records(path, fmt))
-    fingerprint = source.fingerprint()
-    assert fingerprint.records == len(GOLDEN_RECORDS)
-    assert fingerprint.digest == GOLDEN_DIGEST
+        path = tmp_path / "golden.jsonl"
+        write_jsonl(records, path)
+        source = RecordSource.from_file(path)
+    assert source.fingerprint() == GOLDEN_KEYS[fmt]
+    assert len(source.rows()) == len(GOLDEN_RECORDS)
 
 
 # -- strict order restoration (regression: silent record drops) -----------

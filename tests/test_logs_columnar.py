@@ -6,7 +6,7 @@ of :class:`RecordList` (the cached ``preprocess`` records), IO round-trips
 through the format dispatchers (``write_log`` / ``iter_log_records``)
 for every storage format, and the schema's ``"" -> None``
 normalization asymmetry that every read path must apply identically
-(it is what makes fingerprints format-independent).
+(it is what makes every format read back as the same rows).
 
 Parquet tests run only when pyarrow is installed (the ``[parquet]``
 extra / the CI pyarrow leg); the missing-dependency error path runs
@@ -33,7 +33,6 @@ from repro.logs.io import (
 )
 from repro.logs.parquet import HAVE_PYARROW, read_parquet, write_parquet
 from repro.logs.schema import COLUMN_SPECS, CSV_COLUMNS, LogRecord
-from repro.pipeline.store import fingerprint_stream
 from repro.uaparse.categories import BotCategory
 
 needs_pyarrow = pytest.mark.skipif(
@@ -289,11 +288,7 @@ class TestBatchIO:
         csv_path = tmp_path / "log.csv"
         write_jsonl(records, jsonl)
         convert_log(jsonl, csv_path, "jsonl", "csv")
-        original = fingerprint_stream(read_jsonl(jsonl), chunk_records=3)
-        converted = fingerprint_stream(
-            iter_log_records(csv_path, "csv"), chunk_records=3
-        )
-        assert converted == original
+        assert list(iter_log_records(csv_path, "csv")) == records
 
 
 class TestEmptyStringNormalization:
@@ -302,7 +297,7 @@ class TestEmptyStringNormalization:
     A record *written* with an empty-string referer reads back as
     ``None`` on every path — every row reader, the batches packed from
     its rows, and (when available) Parquet — so the normalized form is
-    the canonical one and all formats fingerprint identically.
+    the canonical one and all formats read back as the same rows.
     """
 
     def test_from_dict_normalizes_empty_nullable_strings(self):
@@ -390,9 +385,9 @@ class TestParquet:
         parquet = tmp_path / "log.parquet"
         write_jsonl(records, jsonl)
         convert_log(jsonl, parquet, "jsonl", "parquet")
-        assert fingerprint_stream(
-            read_parquet(parquet, batch_records=2), chunk_records=3
-        ) == fingerprint_stream(read_jsonl(jsonl), chunk_records=3)
+        assert list(read_parquet(parquet, batch_records=2)) == list(
+            read_jsonl(jsonl)
+        )
 
 
 @needs_no_pyarrow

@@ -33,11 +33,9 @@ from repro.pipeline import (
     PipelineConfig,
     RecordSource,
     build_study_pipeline,
-    fingerprint_stream,
 )
-from repro.pipeline.context import SOURCE_MEMO_STAGE
 from repro.pipeline.shard import shard_index
-from repro.pipeline.store import fingerprint_batch, stable_token
+from repro.pipeline.store import fingerprint_batch, fingerprint_rows, stable_token
 from repro.simulation import quick_scenario
 
 SCENARIO = quick_scenario(scale=0.1, seed=11)
@@ -173,28 +171,22 @@ def _artifact_bytes(pipeline, name):
 
 
 class TestFingerprints:
-    def test_chunked_fingerprint_append_shares_prefix(self):
-        records = [
-            _record((SITES[0], USER_AGENTS[0], "ip-1", 15169, "/", tick))
-            for tick in range(10)
-        ]
-        base = fingerprint_stream(records, chunk_records=4)
-        grown = fingerprint_stream(records + records[:3], chunk_records=4)
-        assert base.records == 10
-        assert len(base.chunks) == 3  # 4 + 4 + 2
-        assert base.digest != grown.digest
-        # The two full leading chunks survive the append untouched.
-        assert base.chunks[:2] == grown.chunks[:2]
-        assert base.chunks[2] != grown.chunks[2]
-
     def test_fingerprint_ignores_enrichment_columns(self):
         record = _record((SITES[0], USER_AGENTS[0], "ip-1", 15169, "/", 5))
-        before = fingerprint_batch(RecordBatch.from_records([record]))
+
+        def keys():
+            return (
+                RecordSource.of([record]).fingerprint(),
+                fingerprint_batch(RecordBatch.from_records([record])),
+            )
+
+        before = keys()
         record.bot_name = "GPTBot"
         record.asn_name = "GOOGLE"
-        assert fingerprint_batch(RecordBatch.from_records([record])) == before
+        assert keys() == before
         record.uri_path = "/changed"
-        assert fingerprint_batch(RecordBatch.from_records([record])) != before
+        changed = keys()
+        assert changed[0] != before[0] and changed[1] != before[1]
 
     def test_stable_token_rejects_address_reprs(self):
         class Opaque:
@@ -452,7 +444,7 @@ class TestStoreFailureModes:
         assert warm.context.stats.misses == 0
 
 
-# -- the source-fingerprint memo ------------------------------------------
+# -- the file source's key ------------------------------------------------
 
 
 @pytest.fixture()
@@ -473,29 +465,29 @@ def rows_read(monkeypatch):
     return counts
 
 
-def _memoized(path, store, counts, fmt="jsonl", sitename="", asn=0):
-    """(fingerprint of a fresh file source via ``store``, rows parsed)."""
+def _analyzed(path, cache, counts, fmt="jsonl", sitename="", asn=0, **options):
+    """(source key, input record count, rows parsed) of one cached
+    ``preprocess_report`` run over a fresh file source."""
     before = counts["rows"]
     source = RecordSource.from_file(path, fmt, sitename, asn)
-    fingerprint = source.fingerprint(store)
-    return fingerprint, counts["rows"] - before
-
-
-def _fresh(path, fmt="jsonl", sitename="", asn=0):
-    return fingerprint_stream(
-        iter_log_records(path, fmt, sitename=sitename, asn=asn)
+    pipeline = build_study_pipeline(
+        source=source, scenario=SCENARIO, cache_dir=cache, **options
     )
+    report = pipeline.get("preprocess_report")
+    return source.fingerprint(), report.input_records, counts["rows"] - before
 
 
-def _memo_files(store):
+def _stage_files(cache, stage):
+    store = ArtifactStore(cache)
     return [
-        path
-        for path in store._object_files()
-        if store._stage_of(path) == SOURCE_MEMO_STAGE
+        path for path in store._object_files() if store._stage_of(path) == stage
     ]
 
 
 class TestSourceFingerprintMemo:
+    """A file source keys on its raw bytes; the "memo" is the stage
+    artifacts cached under that key."""
+
     @pytest.fixture()
     def log(self, tmp_path):
         path = tmp_path / "study.jsonl"
@@ -505,20 +497,21 @@ class TestSourceFingerprintMemo:
     def test_unchanged_file_is_served_without_parsing(
         self, log, tmp_path, rows_read
     ):
-        store = ArtifactStore(tmp_path / "cache")
-        first, parsed = _memoized(log, store, rows_read)
-        assert parsed > 0
-        assert len(_memo_files(store)) == 1
+        cache = tmp_path / "cache"
+        first = _analyzed(log, cache, rows_read)
+        assert first[1:] == (40, 40)
+        before = rows_read["rows"]
+        RecordSource.from_file(log).fingerprint()
+        assert rows_read["rows"] == before  # the key hashes, never parses
         os.utime(log)  # touch: new mtime, same bytes
-        again, parsed = _memoized(log, store, rows_read)
-        assert parsed == 0
-        assert again == first == _fresh(log)
+        again = _analyzed(log, cache, rows_read)
+        assert again == (first[0], 40, 0)
 
     def test_same_size_edit_with_restored_mtime_misses(
         self, log, tmp_path, rows_read
     ):
-        store = ArtifactStore(tmp_path / "cache")
-        before, _ = _memoized(log, store, rows_read)
+        cache = tmp_path / "cache"
+        before, _, _ = _analyzed(log, cache, rows_read)
         stat = log.stat()
         text = log.read_text("utf-8")
         edited = text.replace("/people/faculty", "/people/facultY", 1)
@@ -527,63 +520,56 @@ class TestSourceFingerprintMemo:
         os.utime(log, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert log.stat().st_size == stat.st_size
         assert log.stat().st_mtime_ns == stat.st_mtime_ns
-        after, parsed = _memoized(log, store, rows_read)
-        assert parsed > 0
-        assert after == _fresh(log)
-        assert after.digest != before.digest
+        after, records, parsed = _analyzed(log, cache, rows_read)
+        assert parsed == records == 40
+        assert after != before
 
     @pytest.mark.parametrize("change", ["truncate", "append"])
     def test_truncate_and_append_miss(self, log, tmp_path, rows_read, change):
-        store = ArtifactStore(tmp_path / "cache")
-        before, _ = _memoized(log, store, rows_read)
+        cache = tmp_path / "cache"
+        before, _, _ = _analyzed(log, cache, rows_read)
         lines = log.read_text("utf-8").splitlines(keepends=True)
         if change == "truncate":
             log.write_text("".join(lines[:-5]), "utf-8")
         else:
             with open(log, "a", encoding="utf-8") as handle:
                 handle.writelines(lines[:5])
-        after, parsed = _memoized(log, store, rows_read)
-        assert parsed == after.records > 0
-        assert after == _fresh(log)
-        assert after.records != before.records
-        # The new bytes got their own memo.
-        assert _memoized(log, store, rows_read)[1] == 0
+        after, records, parsed = _analyzed(log, cache, rows_read)
+        assert parsed == records == (35 if change == "truncate" else 45)
+        assert after != before
+        # The new bytes got their own artifacts.
+        assert _analyzed(log, cache, rows_read)[2] == 0
 
     def test_clf_site_and_asn_key_the_memo(self, tmp_path, rows_read):
         log = tmp_path / "access.log"
         write_log(_seed_records(40), log, "clf")
-        store = ArtifactStore(tmp_path / "cache")
-        first, parsed = _memoized(log, store, rows_read, "clf", "a.example", 1)
+        cache = tmp_path / "cache"
+        first, _, parsed = _analyzed(log, cache, rows_read, "clf", "a.example", 1)
         assert parsed > 0
-        assert first == _fresh(log, "clf", "a.example", 1)
         for sitename, asn in (("b.example", 1), ("a.example", 2)):
-            other, parsed = _memoized(log, store, rows_read, "clf", sitename, asn)
+            other, _, parsed = _analyzed(log, cache, rows_read, "clf", sitename, asn)
             assert parsed > 0
-            assert other == _fresh(log, "clf", sitename, asn)
-            assert other.digest != first.digest
-        again, parsed = _memoized(log, store, rows_read, "clf", "a.example", 1)
+            assert other != first
+        again, _, parsed = _analyzed(log, cache, rows_read, "clf", "a.example", 1)
         assert (again, parsed) == (first, 0)
 
     def test_corrupted_memo_is_recomputed(self, log, tmp_path, rows_read):
-        store = ArtifactStore(tmp_path / "cache")
-        first, _ = _memoized(log, store, rows_read)
-        (memo,) = _memo_files(store)
-        memo.write_bytes(memo.read_bytes()[:-5])
-        again, parsed = _memoized(log, store, rows_read)
-        assert parsed > 0
-        assert again == first == _fresh(log)
-        assert _memoized(log, store, rows_read)[1] == 0  # republished
+        cache = tmp_path / "cache"
+        first = _analyzed(log, cache, rows_read)
+        for stage in ("preprocess", "preprocess_report"):
+            (path,) = _stage_files(cache, stage)
+            path.write_bytes(path.read_bytes()[:-5])
+        assert _analyzed(log, cache, rows_read) == (first[0], 40, 40)
+        assert _analyzed(log, cache, rows_read)[2] == 0  # republished
 
     def test_no_cache_never_reads_the_memo_but_publishes_it(
         self, log, tmp_path, rows_read
     ):
-        refresher = ArtifactStore(tmp_path / "cache", read=False)
+        cache = tmp_path / "cache"
         for _ in range(2):
-            fingerprint, parsed = _memoized(log, refresher, rows_read)
-            assert parsed > 0
-            assert fingerprint == _fresh(log)
-        reader = ArtifactStore(tmp_path / "cache")
-        assert _memoized(log, reader, rows_read) == (fingerprint, 0)
+            key, _, parsed = _analyzed(log, cache, rows_read, no_cache=True)
+            assert parsed == 40
+        assert _analyzed(log, cache, rows_read) == (key, 40, 0)
 
     def test_file_changed_mid_parse_publishes_no_memo(
         self, log, tmp_path, rows_read, monkeypatch
@@ -599,79 +585,75 @@ class TestSourceFingerprintMemo:
                 yield row
 
         monkeypatch.setattr(log_io, "read_jsonl", appending)
-        store = ArtifactStore(tmp_path / "cache")
-        RecordSource.from_file(log).fingerprint(store)
-        assert _memo_files(store) == []
+        cache = tmp_path / "cache"
+        with pytest.raises(PipelineError, match="changed while"):
+            _analyzed(log, cache, rows_read)
+        assert ArtifactStore(cache)._object_files() == []
         monkeypatch.setattr(log_io, "read_jsonl", reader)
-        grown, parsed = _memoized(log, store, rows_read)
-        assert parsed > 0
-        assert grown == _fresh(log)
+        assert _analyzed(log, cache, rows_read)[1:] == (43, 43)
 
     def test_log_grown_after_the_first_parse_is_analyzed_as_parsed(
-        self, log, tmp_path, monkeypatch
+        self, log, tmp_path, rows_read
     ):
-        """One run parses the log once, so rows appended after that
-        parse reach neither the fingerprint nor any published stage."""
+        """Rows appended once the run's one parse has finished reach no
+        stage, and every artifact the run publishes is keyed by the
+        bytes that parse read."""
         original = tmp_path / "original.jsonl"
         original.write_bytes(log.read_bytes())
-        tail = log.read_text("utf-8").splitlines(keepends=True)[:7]
-        reader = log_io.read_jsonl
-        grown = []
-
-        def growing(path):
-            yield from reader(path)
-            if not grown:
-                grown.append(path)
-                with open(path, "a", encoding="utf-8") as handle:
-                    handle.writelines(tail)
-
-        monkeypatch.setattr(log_io, "read_jsonl", growing)
-        source = RecordSource.from_file(log)
         pipeline = build_study_pipeline(
-            source=source, scenario=SCENARIO, cache_dir=tmp_path / "c"
-        )
-        records, report = pipeline.get("preprocess")
-        store = pipeline.context.store
-        assert grown == [log]
-        assert (
-            len(records) + report.scanner_records
-            == report.input_records
-            == source.fingerprint(store).records
-            == 40
-        )
-        assert _memo_files(store) == []
-
-        published = build_study_pipeline(
-            source=list(iter_log_records(original)),
+            source=RecordSource.from_file(log),
             scenario=SCENARIO,
             cache_dir=tmp_path / "c",
         )
+        pipeline.get("preprocess")
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.writelines(log.read_text("utf-8").splitlines(True)[:7])
+        pipeline.run()
+        assert pipeline.get("preprocess_report").input_records == 40
+
+        before = rows_read["rows"]
+        same_bytes = build_study_pipeline(
+            source=RecordSource.from_file(original),
+            scenario=SCENARIO,
+            cache_dir=tmp_path / "c",
+        )
+        same_bytes.run(["category_table", "preprocess_report"])
+        assert same_bytes.context.stats.misses == 0
+        assert rows_read["rows"] == before
         cold = build_study_pipeline(
             source=RecordSource.from_file(original), scenario=SCENARIO
         )
-        assert _artifact_bytes(published, "preprocess") == _artifact_bytes(
-            cold, "preprocess"
-        )
-        assert published.context.stats.stage_events == {"preprocess": "hit"}
+        for name in COMPARED_ARTIFACTS:
+            assert _artifact_bytes(pipeline, name) == _artifact_bytes(
+                cold, name
+            ), name
 
     def test_rows_parsed_before_the_memo_lookup_publish_no_memo(
-        self, log, tmp_path
+        self, log, tmp_path, rows_read
     ):
+        """Rows parsed before the key was asked for key on their own
+        digest, not on bytes the file may have gained since."""
         source = RecordSource.from_file(log)
         rows = source.rows()
         tail = log.read_text("utf-8").splitlines(keepends=True)[:3]
         with open(log, "a", encoding="utf-8") as handle:
             handle.writelines(tail)
-        store = ArtifactStore(tmp_path / "cache")
-        assert source.fingerprint(store) == fingerprint_stream(rows)
-        assert _memo_files(store) == []
+        assert source.fingerprint() == fingerprint_rows(rows)
+        grown = RecordSource.from_file(log).fingerprint()
+        assert source.fingerprint() != grown
+        pipeline = build_study_pipeline(
+            source=source, scenario=SCENARIO, cache_dir=tmp_path / "c"
+        )
+        assert pipeline.get("preprocess_report").input_records == 40
+        # The file's own key was never published under.
+        assert _analyzed(log, tmp_path / "c", rows_read)[1:] == (43, 43)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_log_grown_after_a_memo_hit_publishes_nothing(
         self, log, tmp_path, monkeypatch, jobs
     ):
-        """The memo answered for the bytes hashed at lookup; rows a
-        missing stage parses later must come from those same bytes."""
+        """The run keys on the bytes hashed before its parse; a log that
+        grows during the parse raises and publishes nothing."""
 
         def pipeline():
             return build_study_pipeline(
@@ -682,16 +664,7 @@ class TestSourceFingerprintMemo:
             )
 
         pipeline().get("preprocess")
-        store = ArtifactStore(tmp_path / "c")
-
-        def preprocess_files():
-            return [
-                path
-                for path in store._object_files()
-                if store._stage_of(path) == "preprocess"
-            ]
-
-        (pruned,) = preprocess_files()
+        (pruned,) = _stage_files(tmp_path / "c", "preprocess")
         pruned.unlink()
         tail = log.read_text("utf-8").splitlines(keepends=True)[:7]
         reader = log_io.read_jsonl
@@ -705,17 +678,19 @@ class TestSourceFingerprintMemo:
         grown = pipeline()
         with pytest.raises(PipelineError, match="changed while"):
             grown.get("preprocess")
-        assert preprocess_files() == []
+        assert _stage_files(tmp_path / "c", "preprocess") == []
         assert grown.context.stats.published == 0
-        # The grown file hashes differently, so a rerun misses the memo
-        # and analyzes every row it parses.
+        # The grown file hashes differently, so a rerun misses and
+        # analyzes every row it parses.
         monkeypatch.setattr(log_io, "read_jsonl", reader)
         rerun = pipeline()
         records, report = rerun.get("preprocess")
         assert report.input_records == 47
 
     def test_memo_feeds_the_same_stage_keys(self, log, tmp_path, rows_read):
-        """A warm pipeline over an unchanged file parses no row."""
+        """Stage keys follow the file's bytes, not its path: a copy of an
+        analyzed log is a warm run that parses no row.  A list of the
+        same rows keys on its own digest and misses."""
 
         def pipeline(source):
             return build_study_pipeline(
@@ -724,15 +699,17 @@ class TestSourceFingerprintMemo:
 
         cold = pipeline(RecordSource.from_file(log))
         cold.run(["category_table", "preprocess_report"])
-        listed = pipeline(list(iter_log_records(log)))
-        listed.run(["category_table"])
-        assert listed.context.stats.misses == 0
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(log.read_bytes())
         before = rows_read["rows"]
-        warm = pipeline(RecordSource.from_file(log))
+        warm = pipeline(RecordSource.from_file(copy))
         warm.run(["category_table", "preprocess_report"])
         assert rows_read["rows"] == before
         assert warm.context.stats.misses == 0
         assert "preprocess" not in warm.context.stats.stage_events
+        listed = pipeline(list(iter_log_records(log)))
+        listed.run(["category_table"])
+        assert listed.context.stats.hits == 0
 
 
 class TestPreprocessArtifactFormat:
@@ -790,12 +767,6 @@ class TestIntegration:
         assert len(second.records) == len(first.records)
         assert second.cache_stats.stage_events["preprocess"] == "hit"
         assert second.cache_stats.misses == 0
-
-    def test_dataset_fingerprint_is_stable_and_content_based(
-        self, quick_dataset
-    ):
-        assert quick_dataset.fingerprint() == quick_dataset.fingerprint()
-        assert quick_dataset.source() is quick_dataset.source()
 
     def test_run_all_rides_the_cache(self, quick_dataset, tmp_path):
         from repro.reporting.study import StudyAnalysis
